@@ -16,6 +16,7 @@ from .errors import (
     AlignmentError,
     CanonicalityError,
     ConfigError,
+    InvariantError,
     MalformedNapotError,
     RegionOverlapError,
     SuperpageError,

@@ -9,16 +9,9 @@ and walk-cache state carries across the phase boundary.
 
 from dataclasses import dataclass, field
 
-from .errors import CanonicalityError, UnmappedAccessError
+from .errors import CanonicalityError, InvariantError, UnmappedAccessError
 from .pagetable import PtwCache, build_page_tables, walk
-from .sv39 import (
-    CANONICAL_HIGH,
-    NAPOT_OFFSET_MASK,
-    OFFSET_MASK,
-    PAGE_SHIFT,
-    VPN_MASK,
-    napot_translate,
-)
+from .sv39 import CANONICAL_HIGH, OFFSET_MASK, PAGE_SHIFT, VPN_MASK
 from .tlb import L1_ENTRIES, L2_ENTRIES, L1Dtlb, L2Tlb
 
 WARMUP = "warmup"
@@ -53,11 +46,26 @@ class PhaseStats:
     walk_memory_reads: int = 0
     total_cycles: int = 0
 
-    def check(self):
-        """Every access is exactly one of L1 hit, L2 hit, or walk."""
-        assert self.l1_hits + self.l1_misses == self.accesses
-        assert self.l2_hits + self.l2_misses == self.l1_misses
-        assert self.walks == self.l2_misses
+    def check(self, latency):
+        """Raise InvariantError unless every access is exactly one of L1 hit,
+        L2 hit, or walk and total_cycles is what latency charges for them."""
+        cycles = (
+            self.accesses * latency.l1_hit_cycles
+            + self.l1_misses * latency.l2_lookup_cycles
+            + self.walk_memory_reads * latency.mem_read_cycles
+        )
+        identities = (
+            ("l1_hits + l1_misses == accesses",
+             self.l1_hits + self.l1_misses, self.accesses),
+            ("l2_hits + l2_misses == l1_misses",
+             self.l2_hits + self.l2_misses, self.l1_misses),
+            ("walks == l2_misses", self.walks, self.l2_misses),
+            ("total_cycles == accesses*l1_hit + l1_misses*l2_lookup"
+             " + walk_memory_reads*mem_read", self.total_cycles, cycles),
+        )
+        for identity, got, want in identities:
+            if got != want:
+                raise InvariantError(f"{identity} broken: {got} != {want}")
 
 
 @dataclass
@@ -70,9 +78,9 @@ class SimStats:
             raise ValueError(f"unknown phase {name!r}")
         return getattr(self, name)
 
-    def check(self):
-        self.warmup.check()
-        self.measurement.check()
+    def check(self, latency):
+        self.warmup.check(latency)
+        self.measurement.check(latency)
 
 
 @dataclass(frozen=True)
@@ -111,54 +119,29 @@ class Simulation:
         self.phase = MEASUREMENT
 
     def translate(self, va):
-        """Translate one access, updating the current phase's counters."""
+        """Translate one access, updating the current phase's counters.
+
+        The access runs through the same loop as run_trace; the path is read
+        off the counter that moved. A faulting access raises and leaves the
+        counters untouched.
+        """
         stats = self.stats.phase(self.phase)
-        latency = self.latency
-        high = va >> 38
-        if high != 0 and high != CANONICAL_HIGH:
-            raise CanonicalityError(f"va {va:#x} is not a canonical sv39 address")
-        vpn = (va >> PAGE_SHIFT) & VPN_MASK
-        stats.accesses += 1
-        hit = self.l1.lookup(vpn)
-        if hit is not None:
-            stats.l1_hits += 1
-            cycles = latency.l1_hit_cycles
-            stats.total_cycles += cycles
-            return TranslationOutcome(
-                (hit[0] << PAGE_SHIFT) | (va & OFFSET_MASK), L1_HIT, cycles
-            )
-        stats.l1_misses += 1
-        result = self.l2.lookup(vpn)
-        if result is not None:
-            stats.l2_hits += 1
-            ppn, perms = result
-            self.l1.insert(vpn, ppn, perms)
-            cycles = latency.l1_hit_cycles + latency.l2_lookup_cycles
-            stats.total_cycles += cycles
-            return TranslationOutcome(
-                (ppn << PAGE_SHIFT) | (va & OFFSET_MASK), L2_HIT, cycles
-            )
-        stats.l2_misses += 1
-        result = walk(self.root_ppn, self.mem, self.ptw_cache, va)
-        if result.faulted:
-            raise UnmappedAccessError(f"no mapping behind va {va:#x}")
-        stats.walks += 1
-        stats.walk_memory_reads += result.memory_reads
-        leaf = result.pte
-        self.l2.insert(vpn, leaf)
-        if leaf.n_bit:
-            ppn = napot_translate(leaf.ppn, vpn & NAPOT_OFFSET_MASK)
+        l1_hits = stats.l1_hits
+        l2_hits = stats.l2_hits
+        cycles = stats.total_cycles
+        self._run_phase((va,), stats)
+        if stats.l1_hits != l1_hits:
+            path = L1_HIT
+        elif stats.l2_hits != l2_hits:
+            path = L2_HIT
         else:
-            ppn = leaf.ppn
-        self.l1.insert(vpn, ppn, leaf.perm_bits)
-        cycles = (
-            latency.l1_hit_cycles
-            + latency.l2_lookup_cycles
-            + latency.mem_read_cycles * result.memory_reads
-        )
-        stats.total_cycles += cycles
+            path = WALK
+        # every path leaves the page at the L1's MRU end
+        ppn = self.l1.entries[(va >> PAGE_SHIFT) & VPN_MASK][0]
         return TranslationOutcome(
-            (ppn << PAGE_SHIFT) | (va & OFFSET_MASK), WALK, cycles
+            (ppn << PAGE_SHIFT) | (va & OFFSET_MASK),
+            path,
+            stats.total_cycles - cycles,
         )
 
     def run_trace(self, trace):
@@ -173,7 +156,7 @@ class Simulation:
             self.ptw_cache.flush()
         self.phase = MEASUREMENT
         self._run_phase(trace.measurement, self.stats.measurement)
-        self.stats.check()
+        self.stats.check(self.latency)
         return self.stats
 
     def _run_phase(self, addresses, stats):
@@ -192,6 +175,7 @@ class Simulation:
         walks = 0
         walk_reads = 0
         for va in addresses:
+            # inline sv39.check_canonical: a call per access costs too much here
             high = va >> 38
             if high != 0 and high != CANONICAL_HIGH:
                 raise CanonicalityError(
@@ -212,13 +196,8 @@ class Simulation:
                 raise UnmappedAccessError(f"no mapping behind va {va:#x}")
             walks += 1
             walk_reads += result.memory_reads
-            leaf = result.pte
-            l2_insert(vpn, leaf)
-            if leaf.n_bit:
-                ppn = (leaf.ppn & ~NAPOT_OFFSET_MASK) | (vpn & NAPOT_OFFSET_MASK)
-            else:
-                ppn = leaf.ppn
-            l1_insert(vpn, ppn, leaf.perm_bits)
+            ppn, perms = l2_insert(vpn, result.pte)
+            l1_insert(vpn, ppn, perms)
         total = len(addresses)
         l1_misses = total - l1_hits
         latency = self.latency

@@ -25,5 +25,9 @@ class UnmappedAccessError(RuntimeError):
     """A trace touched a virtual address with no mapping behind it."""
 
 
+class InvariantError(RuntimeError):
+    """Simulation counters broke one of their accounting identities."""
+
+
 class ConfigError(ValueError):
     """Experiment configuration failed validation."""

@@ -17,7 +17,6 @@ from .errors import (
     SuperpageError,
 )
 from .sv39 import (
-    CANONICAL_HIGH,
     LEVEL_MASK,
     NAPOT_OFFSET_MASK,
     NAPOT_PPN_PATTERN,
@@ -222,9 +221,7 @@ def walk(root_ppn, mem, cache, va):
     a cold walk costs 3. Non-leaf PTEs fetched from memory are cached.
     Returns a faulted result on any invalid entry along the path.
     """
-    high = va >> 38
-    if high != 0 and high != CANONICAL_HIGH:
-        raise CanonicalityError(f"va {va:#x} is not a canonical sv39 address")
+    check_canonical(va)
     vpn = (va >> PAGE_SHIFT) & VPN_MASK
     reads = 0
     cache_hits = 0

@@ -9,6 +9,7 @@ are compared on the same workload.
 """
 
 import configparser
+import itertools
 import json
 import math
 import os
@@ -252,40 +253,42 @@ def run_cell(config, tlb, pattern, chunk_bytes, trace=None):
     ]
 
 
-def _run_cell_task(args):
-    config, tlb, pattern, chunk_bytes = args
-    return run_cell(config, tlb, pattern, chunk_bytes)
+def _run_point(config, pattern, chunk_bytes, tlbs):
+    """Run every configuration of one (pattern, chunk) grid point on one trace."""
+    spec = WorkloadSpec(
+        chunk_bytes,
+        pattern,
+        seed=cell_seed(config.seed, pattern, chunk_bytes),
+        measured_accesses=config.measured_accesses,
+    )
+    trace = gen_trace(spec, config.base_va)
+    rows = []
+    for tlb in tlbs:
+        rows.extend(run_cell(config, tlb, pattern, chunk_bytes, trace=trace))
+    return rows
 
 
 def run_sweep(config, jobs=1):
     """Run the whole grid; returns rows sorted by (config, pattern, chunk).
 
-    With jobs=1 the trace for each (pattern, chunk) grid point is generated
-    once and shared across configurations; workers regenerate it from the
-    same seed instead, so the rows come out identical either way.
+    Each (pattern, chunk) grid point is one task that generates its trace
+    once and runs every configuration on it. jobs=1 runs the tasks in this
+    process; more jobs spread them over a pool of at most one worker per
+    task.
     """
     config.validate()
-    cells = config.cells()
-    rows = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            tasks = [(config, tlb, pattern, chunk) for tlb, pattern, chunk in cells]
-            for cell_rows in pool.map(_run_cell_task, tasks):
-                rows.extend(cell_rows)
+    points = {}
+    # largest chunks first, so a pool does not end on its longest tasks
+    for tlb, pattern, chunk in sorted(config.cells(), key=lambda c: -c[2]):
+        points.setdefault((pattern, chunk), []).append(tlb)
+    patterns, chunks = zip(*points)
+    args = (itertools.repeat(config), patterns, chunks, points.values())
+    if jobs == 1:
+        results = list(map(_run_point, *args))
     else:
-        by_point = {}
-        for tlb, pattern, chunk in cells:
-            by_point.setdefault((pattern, chunk), []).append(tlb)
-        for (pattern, chunk), tlbs in by_point.items():
-            spec = WorkloadSpec(
-                chunk,
-                pattern,
-                seed=cell_seed(config.seed, pattern, chunk),
-                measured_accesses=config.measured_accesses,
-            )
-            trace = gen_trace(spec, config.base_va)
-            for tlb in tlbs:
-                rows.extend(run_cell(config, tlb, pattern, chunk, trace=trace))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
+            results = list(pool.map(_run_point, *args))
+    rows = [row for point_rows in results for row in point_rows]
     rows.sort(key=_sort_key)
     return rows
 

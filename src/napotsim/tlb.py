@@ -74,8 +74,9 @@ class L2Tlb:
     def insert(self, vpn, pte):
         """Install the leaf PTE for vpn, evicting per policy if the set is full.
 
-        Reinstalling a resident translation refreshes it in place instead of
-        consuming another way.
+        Returns (final 4KB ppn, perm bits) for vpn, the same pair lookup()
+        would return for it. Reinstalling a resident translation refreshes it
+        in place instead of consuming another way.
         """
         if not pte.valid or not pte.is_leaf or pte.level != 0:
             raise ValueError("L2 entries must come from valid level-0 leaves")
@@ -85,21 +86,22 @@ class L2Tlb:
                     f"ppn {pte.ppn:#x} lacks the 64KB NAPOT pattern"
                 )
             key = ((vpn >> NAPOT_SHIFT) << 1) | 1
+            ppn = (pte.ppn & ~NAPOT_OFFSET_MASK) | (vpn & NAPOT_OFFSET_MASK)
         else:
             key = vpn << 1
+            ppn = pte.ppn
         entries = self._sets[(vpn >> NAPOT_SHIFT) & self.set_mask]
-        value = (vpn, pte.ppn, pte.perm_bits)
         if key in entries:
-            entries[key] = value
             entries.move_to_end(key)
-            return
-        if len(entries) >= self.ways:
+        elif len(entries) >= self.ways:
             if self.replacement == "lru":
                 entries.popitem(last=False)
             else:
                 victim = list(entries)[self._rng.randrange(len(entries))]
                 del entries[victim]
-        entries[key] = value
+        perms = pte.perm_bits
+        entries[key] = (vpn, pte.ppn, perms)
+        return ppn, perms
 
     def flush(self, va):
         """Invalidate the whole set va indexes, regardless of page size."""

@@ -17,7 +17,6 @@ from .pagetable import RegionSpec
 from .sv39 import NAPOT_OFFSET_MASK, PAGE_BYTES, PAGE_SHIFT, PageSize
 
 PATTERNS = ("linear", "random")
-STEP_BYTES = PAGE_BYTES
 CHUNK_MIN_BYTES = 4 << 10
 CHUNK_MAX_BYTES = 256 << 20
 DEFAULT_MEASURED_ACCESSES = 1_000_000
@@ -30,7 +29,6 @@ class WorkloadSpec:
     page_size: int = PageSize.PAGE_4K
     seed: int = 0
     measured_accesses: int = DEFAULT_MEASURED_ACCESSES
-    step_bytes: int = STEP_BYTES
 
     def __post_init__(self):
         if self.pattern not in PATTERNS:
@@ -43,14 +41,12 @@ class WorkloadSpec:
                 f"chunk_bytes {c:#x} must be a power of two in "
                 f"[{CHUNK_MIN_BYTES:#x}, {CHUNK_MAX_BYTES:#x}]"
             )
-        if self.step_bytes != STEP_BYTES:
-            raise ValueError(f"stride is fixed at {STEP_BYTES} bytes")
         if self.measured_accesses < 0:
             raise ValueError("measured_accesses must be non-negative")
 
     @property
     def num_pages(self):
-        return self.chunk_bytes // self.step_bytes
+        return self.chunk_bytes // PAGE_BYTES
 
 
 @dataclass
@@ -60,7 +56,7 @@ class AccessTrace:
 
 
 def _warmup_pass(spec, base_va):
-    return list(range(base_va, base_va + spec.chunk_bytes, spec.step_bytes))
+    return list(range(base_va, base_va + spec.chunk_bytes, PAGE_BYTES))
 
 
 def gen_linear(spec, base_va):
@@ -121,23 +117,33 @@ def write_trace(trace, path):
 
 
 def read_trace(path):
-    """Parse a file written by write_trace back into an AccessTrace."""
+    """Parse a file written by write_trace back into an AccessTrace.
+
+    A malformed line raises ValueError naming its line number and text.
+    """
     phases = {"warmup": [], "measurement": []}
     current = None
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("# phase:"):
                 name = line.split(":", 1)[1].strip()
                 if name not in phases:
-                    raise ValueError(f"unknown phase {name!r}")
+                    raise ValueError(f"line {number}: unknown phase {name!r}")
                 current = phases[name]
                 continue
             if line.startswith("#"):
                 continue
             if current is None:
-                raise ValueError("address before any phase marker")
-            current.append(int(line, 16))
+                raise ValueError(
+                    f"line {number}: address {line!r} before any phase marker"
+                )
+            try:
+                current.append(int(line, 16))
+            except ValueError:
+                raise ValueError(
+                    f"line {number}: {line!r} is not a hex address"
+                ) from None
     return AccessTrace(phases["warmup"], phases["measurement"])

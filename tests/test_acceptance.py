@@ -2,7 +2,9 @@
 
 Each test prints one PASS/FAIL line (run with -s to see them on success).
 The grid fixture runs the full default sweep once (about two to three
-minutes); the determinism check at the end runs it a second time.
+minutes); the determinism check at the end runs it a second time, through
+a two-worker pool, so it also checks that the pooled sweep matches the
+serial one.
 
 Numbered checks:
  1. L1 reach: config 2 linear serves every measured access from L1 up to
@@ -25,8 +27,8 @@ Numbered checks:
     discrete 4KB entries for 1,000 random frames, all offsets.
  9. Flush semantics: flushing a set empties exactly the 16-VPN group's set
     and leaves every other set untouched, over 1,000 random TLB states.
-10. Determinism: rerunning the default sweep reproduces the CSV byte for
-    byte.
+10. Determinism: rerunning the default sweep with two workers reproduces
+    the serial CSV byte for byte.
 """
 
 import random
@@ -273,7 +275,7 @@ def test_09_flush_semantics():
 
 def test_10_determinism(grid, tmp_path):
     config, rows, _ = grid
-    again = run_sweep(ExperimentConfig())
+    again = run_sweep(ExperimentConfig(), jobs=2)
     first = tmp_path / "first.csv"
     second = tmp_path / "second.csv"
     emit_csv(rows, first)

@@ -6,11 +6,17 @@ memory-read charge once per read the walk performed. A cold walk therefore
 costs 1 + 3 + 3*30 = 94 cycles at the default latencies.
 """
 
+import os
 import random
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import napotsim
 from napotsim.engine import (
     L1_HIT,
     L2_HIT,
@@ -18,9 +24,11 @@ from napotsim.engine import (
     WALK,
     WARMUP,
     LatencyModel,
+    PhaseStats,
     Simulation,
+    SimStats,
 )
-from napotsim.errors import CanonicalityError, UnmappedAccessError
+from napotsim.errors import CanonicalityError, InvariantError, UnmappedAccessError
 from napotsim.pagetable import RegionSpec
 from napotsim.sv39 import PageSize
 from napotsim.workloads import AccessTrace
@@ -97,6 +105,8 @@ def test_unmapped_access_raises():
     sim = sim_4k(length=KB4)
     with pytest.raises(UnmappedAccessError):
         sim.translate(BASE_VA + KB4)
+    # a faulting access moves no counter
+    assert sim.stats == SimStats()
     with pytest.raises(UnmappedAccessError):
         sim.run_trace(AccessTrace([], [BASE_VA + KB4]))
 
@@ -105,6 +115,7 @@ def test_non_canonical_access_raises():
     sim = sim_4k()
     with pytest.raises(CanonicalityError):
         sim.translate(1 << 40)
+    assert sim.stats == SimStats()
     with pytest.raises(CanonicalityError):
         sim.run_trace(AccessTrace([], [1 << 40]))
 
@@ -156,24 +167,6 @@ def test_translate_respects_phase_attribute():
     assert sim.stats.measurement.accesses == 0
 
 
-def test_run_trace_matches_translate_loop():
-    rng = random.Random(71)
-    pages = 128
-    warmup = [BASE_VA + (p << 12) for p in range(pages)]
-    measurement = [BASE_VA + (rng.randrange(pages) << 12) for _ in range(5000)]
-    for make in (sim_4k, sim_64k):
-        fast = make(length=pages << 12, ways=4)
-        slow = make(length=pages << 12, ways=4)
-        fast.run_trace(AccessTrace(warmup, measurement))
-        slow.phase = WARMUP
-        for va in warmup:
-            slow.translate(va)
-        slow.phase = MEASUREMENT
-        for va in measurement:
-            slow.translate(va)
-        assert fast.stats == slow.stats
-
-
 def test_stats_invariants_on_random_traces():
     rng = random.Random(73)
     for trial in range(10):
@@ -185,7 +178,7 @@ def test_stats_invariants_on_random_traces():
         ]
         stats = sim.run_trace(AccessTrace(warmup, measurement))
         for phase in (stats.warmup, stats.measurement):
-            phase.check()
+            phase.check(sim.latency)
             assert phase.total_cycles == expected_cycles(phase)
         assert sim.mem.read_count == (
             stats.warmup.walk_memory_reads + stats.measurement.walk_memory_reads
@@ -246,4 +239,44 @@ def test_l2_flush_forces_walk_but_keeps_counters_consistent():
     assert out.path == WALK
     # the second walk rides the PTW cache: only the leaf read
     assert out.cycles_charged == 1 + 3 + 30
-    sim.stats.measurement.check()
+    sim.stats.measurement.check(sim.latency)
+
+
+def test_phase_check_names_the_broken_identity():
+    latency = LatencyModel()
+    good = PhaseStats(accesses=2, l1_hits=1, l1_misses=1, l2_misses=1,
+                      walks=1, walk_memory_reads=3, total_cycles=2 + 3 + 90)
+    good.check(latency)
+    broken = {
+        "l1_hits + l1_misses == accesses": replace(good, accesses=3),
+        "l2_hits + l2_misses == l1_misses": replace(good, l2_hits=1),
+        "walks == l2_misses": replace(good, walks=0),
+        "total_cycles ==": replace(good, total_cycles=94),
+    }
+    for identity, stats in broken.items():
+        with pytest.raises(InvariantError, match=re.escape(identity)):
+            stats.check(latency)
+    # the cycle identity follows the run's latency model, not the default
+    with pytest.raises(InvariantError, match="total_cycles"):
+        good.check(LatencyModel(mem_read_cycles=31))
+
+
+def test_phase_check_survives_python_O():
+    # assert statements vanish under -O; the explicit raise must not
+    src = str(Path(napotsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "from napotsim import InvariantError, LatencyModel, PhaseStats\n"
+        "try:\n"
+        "    PhaseStats(accesses=1).check(LatencyModel())\n"
+        "except InvariantError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.startswith("raised l1_hits + l1_misses == accesses")

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from napotsim import sweep
 from napotsim.engine import LatencyModel
 from napotsim.errors import ConfigError
 from napotsim.sv39 import PageSize
@@ -134,6 +135,33 @@ def test_run_sweep_deterministic_bytes(tmp_path):
 def test_run_sweep_parallel_matches_serial():
     config = small_config()
     assert run_sweep(config, jobs=2) == run_sweep(config, jobs=1)
+
+
+def test_run_sweep_pool_capped_at_grid_points(monkeypatch):
+    # a fork pool starts every worker it is asked for, so the sweep must
+    # not ask for more than it has (pattern, chunk) tasks; the fake pool
+    # runs the tasks in this process and starts none
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    config = small_config()
+    rows = run_sweep(config, jobs=5000)
+    # 2 patterns x 3 chunk sizes
+    assert asked == [6]
+    assert rows == run_sweep(config, jobs=1)
 
 
 def test_emit_csv_header_only(tmp_path):

@@ -67,7 +67,7 @@ def test_l2_miss_on_empty():
 
 def test_l2_4k_entry_exact_match():
     tlb = L2Tlb()
-    tlb.insert(0x1230, leaf_pte(0x200))
+    assert tlb.insert(0x1230, leaf_pte(0x200)) == (0x200, 0b011)
     assert tlb.lookup(0x1230) == (0x200, 0b011)
     # same group, different page: a 4KB entry does not cover neighbors
     assert tlb.lookup(0x1231) is None
@@ -76,7 +76,8 @@ def test_l2_4k_entry_exact_match():
 
 def test_l2_napot_entry_covers_group():
     tlb = L2Tlb()
-    tlb.insert(0x1235, napot_pte(0x80010))
+    # insert hands back the translation of the VPN it was given
+    assert tlb.insert(0x1235, napot_pte(0x80010)) == (0x80015, 0b011)
     frames = {k: 0x80010 + k for k in range(16)}
     for k in range(16):
         assert tlb.lookup(0x1230 | k) == (frames[k], 0b011)

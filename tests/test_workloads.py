@@ -37,8 +37,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         WorkloadSpec(512 << 20, "linear")  # above 256MB
     with pytest.raises(ValueError):
-        WorkloadSpec(KB4, "linear", step_bytes=8192)
-    with pytest.raises(ValueError):
         WorkloadSpec(KB4, "linear", page_size=8192)
 
 
@@ -169,9 +167,16 @@ def test_trace_file_round_trip(tmp_path):
 
 def test_read_trace_rejects_stray_lines(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("0x1000\n")
-    with pytest.raises(ValueError):
-        read_trace(path)
+    cases = (
+        ("0x1000\n", r"line 1: address '0x1000' before any phase marker"),
+        ("# note\n\n0x2000\n", r"line 3: address '0x2000' before any"),
+        ("# phase: warmup\n0x1000\nzz\n", r"line 3: 'zz' is not a hex address"),
+        ("# phase: warmup\n# phase: cooldown\n", r"line 2: unknown phase 'cooldown'"),
+    )
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_trace(path)
 
 
 def test_traces_shared_across_page_sizes():

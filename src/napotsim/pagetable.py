@@ -55,8 +55,11 @@ class RegionSpec:
             raise AlignmentError(
                 f"length {self.length:#x} not a positive multiple of {self.page_size}"
             )
-        if not 0 <= self.base_ppn <= PPN_MASK:
-            raise ValueError(f"base ppn {self.base_ppn:#x} out of range")
+        last_ppn = self.base_ppn + self.num_pages - 1
+        if self.base_ppn < 0 or last_ppn > PPN_MASK:
+            raise ValueError(
+                f"frames {self.base_ppn:#x}..{last_ppn:#x} leave the 44-bit PPN range"
+            )
         if self.page_size == PageSize.PAGE_64K and self.base_ppn & NAPOT_OFFSET_MASK:
             raise AlignmentError(
                 f"base ppn {self.base_ppn:#x} not aligned to a 16-frame group"
@@ -74,9 +77,6 @@ class RegionSpec:
     @property
     def num_pages(self):
         return self.length >> PAGE_SHIFT
-
-    def contains(self, va):
-        return self.base_va <= va < self.end_va
 
 
 def validate_regions(regions):
@@ -151,7 +151,8 @@ def build_page_tables(regions, first_table_frame=None):
 
     Table frames are allocated from first_table_frame upward; by default
     that is the first frame above every region's backing frames, so tables
-    never collide with mapped data.
+    never collide with mapped data. A table frame past the 44-bit PPN range
+    raises ValueError, since encode_pte would wrap it onto a low frame.
     """
     ordered = validate_regions(regions)
     if first_table_frame is None:
@@ -164,6 +165,10 @@ def build_page_tables(regions, first_table_frame=None):
     def alloc():
         nonlocal next_frame
         frame = next_frame
+        if frame > PPN_MASK:
+            raise ValueError(
+                f"page-table frame {frame:#x} is past the 44-bit PPN range"
+            )
         next_frame += 1
         return frame
 

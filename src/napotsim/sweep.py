@@ -12,16 +12,16 @@ import configparser
 import itertools
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .engine import MEASUREMENT, WARMUP, LatencyModel, Simulation
 from .errors import ConfigError
-from .sv39 import NAPOT_OFFSET_MASK, PAGE_BYTES, PPN_MASK, PageSize, is_canonical
-from .tlb import L1_ENTRIES, L2_ENTRIES, REPLACEMENT_POLICIES
+from .pagetable import PtwCache
+from .sv39 import PageSize
+from .tlb import L1_ENTRIES, L2_ENTRIES, L1Dtlb, L2Tlb
 from .workloads import (
     CHUNK_MAX_BYTES,
     CHUNK_MIN_BYTES,
@@ -90,67 +90,51 @@ class ExperimentConfig:
     out_path: str = "results.csv"
 
     def validate(self):
+        """Check the config by building what the sweep builds; returns self.
+
+        Only the rules no component owns live here. Every other rule is
+        checked by the constructor that enforces it, on the largest chunk,
+        and its ValueError becomes a ConfigError.
+        """
         if not self.configs:
             raise ConfigError("no configurations to sweep")
+        if self.chunk_min_bytes > self.chunk_max_bytes:
+            raise ConfigError("chunk_min_bytes exceeds chunk_max_bytes")
+        for key, build, args in (
+            ("seed", cell_seed, (self.seed, PATTERNS[0], CHUNK_MIN_BYTES)),
+            ("l1_entries", L1Dtlb, (self.l1_entries,)),
+            ("ptw_cache_entries", PtwCache, (self.ptw_cache_entries,)),
+        ):
+            try:
+                build(*args)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         seen = set()
         for cfg in self.configs:
             if cfg.config_id in seen:
                 raise ConfigError(f"duplicate config id {cfg.config_id}")
             seen.add(cfg.config_id)
+            # the paper's two arrangements; L2Tlb itself takes any ways
             if cfg.ways not in (4, 16):
                 raise ConfigError(
                     f"config {cfg.config_id}: ways must be 4 or 16, got {cfg.ways}"
                 )
-            if cfg.page_size not in PageSize.ALL:
-                raise ConfigError(
-                    f"config {cfg.config_id}: bad page size {cfg.page_size}"
-                )
             if not cfg.patterns:
                 raise ConfigError(f"config {cfg.config_id}: no patterns")
-            for pattern in cfg.patterns:
-                if pattern not in PATTERNS:
-                    raise ConfigError(
-                        f"config {cfg.config_id}: unknown pattern {pattern!r}"
-                    )
-            if self.l2_entries <= 0 or self.l2_entries % cfg.ways:
-                raise ConfigError(
-                    f"config {cfg.config_id}: {self.l2_entries} entries do not "
-                    f"divide into {cfg.ways} ways"
-                )
-            sets = self.l2_entries // cfg.ways
-            if sets & (sets - 1):
-                raise ConfigError(
-                    f"config {cfg.config_id}: set count {sets} not a power of two"
-                )
-        for bound in (self.chunk_min_bytes, self.chunk_max_bytes):
-            if (
-                bound < CHUNK_MIN_BYTES
-                or bound > CHUNK_MAX_BYTES
-                or bound & (bound - 1)
-            ):
-                raise ConfigError(
-                    f"chunk bound {bound:#x} must be a power of two in "
-                    f"[{CHUNK_MIN_BYTES:#x}, {CHUNK_MAX_BYTES:#x}]"
-                )
-        if self.chunk_min_bytes > self.chunk_max_bytes:
-            raise ConfigError("chunk_min_bytes exceeds chunk_max_bytes")
-        if self.measured_accesses < 0:
-            raise ConfigError("measured_accesses must be non-negative")
-        if self.replacement not in REPLACEMENT_POLICIES:
-            raise ConfigError(f"unknown replacement policy {self.replacement!r}")
-        if self.l1_entries < 1 or self.ptw_cache_entries < 1:
-            raise ConfigError("structure sizes must be positive")
-        if self.base_va % PageSize.PAGE_64K:
-            raise ConfigError("base_va must be 64KB aligned")
-        if self.base_ppn & NAPOT_OFFSET_MASK:
-            raise ConfigError("base_ppn must be aligned to a 16-frame group")
-        end = self.base_va + self.chunk_max_bytes - 1
-        if not (is_canonical(self.base_va) and is_canonical(end)) or (
-            (self.base_va >> 38) != (end >> 38)
-        ):
-            raise ConfigError("swept range leaves canonical address space")
-        if self.base_ppn + self.chunk_max_bytes // PAGE_BYTES > PPN_MASK:
-            raise ConfigError("swept range leaves physical address space")
+            try:
+                L2Tlb(self.l2_entries, cfg.ways, self.replacement)
+                for pattern in cfg.patterns:
+                    for chunk in (self.chunk_min_bytes, self.chunk_max_bytes):
+                        spec = WorkloadSpec(
+                            chunk,
+                            pattern,
+                            cfg.page_size,
+                            measured_accesses=self.measured_accesses,
+                        )
+                # the largest chunk's region covers every smaller one's
+                make_regions(spec, self.base_va, self.base_ppn)
+            except ValueError as exc:
+                raise ConfigError(f"config {cfg.config_id}: {exc}") from None
         return self
 
     def chunk_sizes(self):
@@ -350,28 +334,71 @@ def _parse_patterns(text):
     return tuple(parts)
 
 
-def _parse_config_row(config_id, text):
-    fields = {}
+def _parse_config_row(key, text):
+    try:
+        config_id = int(key)
+    except ValueError:
+        raise ValueError("config id is not an int") from None
+    values = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "=" not in part:
-            raise ConfigError(f"config {config_id}: cannot parse {part!r}")
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
-    unknown = set(fields) - {"ways", "page", "patterns"}
+            raise ValueError(f"cannot parse {part!r}")
+        name, _, value = part.partition("=")
+        values[name.strip()] = value.strip()
+    unknown = set(values) - {"ways", "page", "patterns"}
     if unknown:
-        raise ConfigError(f"config {config_id}: unknown fields {sorted(unknown)}")
+        raise ValueError(f"unknown fields {sorted(unknown)}")
     try:
-        ways = int(fields["ways"])
-        page_name = fields["page"].upper()
-        patterns = _parse_patterns(fields.get("patterns", "linear"))
+        ways = int(values["ways"])
+        page_name = values["page"].upper()
+        patterns = _parse_patterns(values.get("patterns", "linear"))
     except KeyError as missing:
-        raise ConfigError(f"config {config_id}: missing field {missing}") from None
+        raise ValueError(f"missing field {missing}") from None
     if page_name not in _PAGE_NAMES:
-        raise ConfigError(f"config {config_id}: unknown page size {page_name!r}")
+        raise ValueError(f"unknown page size {page_name!r}")
     return TlbConfig(config_id, ways, _PAGE_NAMES[page_name], patterns)
+
+
+def _parse_bool(text):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# a scalar field's type picks its INI parser
+_PARSERS = {bool: _parse_bool, int: lambda text: int(text, 0), str: str.strip}
+# INI keys that differ from their ExperimentConfig field names
+_SWEEP_KEYS = {"chunk_min_bytes": "chunk_min", "chunk_max_bytes": "chunk_max",
+               "out_path": "out"}
+
+
+def _read_section(section, cls, keys):
+    """Keyword arguments for dataclass cls from an INI section.
+
+    Each scalar field of cls is read from the key named after it (or after
+    keys[field name]). Its type picks the parser; *_bytes fields take sizes.
+    """
+    updates = {}
+    known = set()
+    for f in fields(cls):
+        parse = parse_size if f.name.endswith("_bytes") else _PARSERS.get(f.type)
+        if parse is None:
+            continue
+        key = keys.get(f.name, f.name)
+        known.add(key)
+        if key in section:
+            try:
+                updates[f.name] = parse(section[key])
+            except ValueError as exc:
+                raise ConfigError(f"[{section.name}] {key}: {exc}") from None
+    unknown = set(section) - known
+    if unknown:
+        raise ConfigError(f"[{section.name}] unknown keys {sorted(unknown)}")
+    return updates
 
 
 def load_config(path):
@@ -380,74 +407,33 @@ def load_config(path):
     Every key is optional; omitted ones keep the built-in defaults, so an
     empty file describes the default grid. Recognized sections: [sweep],
     [latency], and [configs] with one `id = ways=..., page=..., patterns=...`
-    row per configuration.
+    row per configuration. A parse error names its section and key.
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path!r} does not exist")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path!r}: {exc}") from None
-    known = {"sweep", "latency", "configs"}
-    unknown = set(parser.sections()) - known
+        with open(path) as f:
+            parser.read_file(f)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read {str(path)!r}: {exc}") from None
+    unknown = set(parser.sections()) - {"sweep", "latency", "configs"}
     if unknown:
         raise ConfigError(f"unknown sections {sorted(unknown)}")
     config = ExperimentConfig()
-    try:
-        if parser.has_section("sweep"):
-            sweep = parser["sweep"]
-            allowed = {
-                "chunk_min", "chunk_max", "measured_accesses", "seed",
-                "replacement", "l1_entries", "l2_entries", "ptw_cache_entries",
-                "include_warmup", "flush_ptw_between_phases", "base_va",
-                "base_ppn", "out",
-            }
-            unknown = set(sweep) - allowed
-            if unknown:
-                raise ConfigError(f"unknown sweep keys {sorted(unknown)}")
-            updates = {}
-            if "chunk_min" in sweep:
-                updates["chunk_min_bytes"] = parse_size(sweep["chunk_min"])
-            if "chunk_max" in sweep:
-                updates["chunk_max_bytes"] = parse_size(sweep["chunk_max"])
-            for key in ("measured_accesses", "seed", "l1_entries", "l2_entries",
-                        "ptw_cache_entries"):
-                if key in sweep:
-                    updates[key] = int(sweep[key], 0)
-            if "replacement" in sweep:
-                updates["replacement"] = sweep["replacement"].strip()
-            for key in ("include_warmup", "flush_ptw_between_phases"):
-                if key in sweep:
-                    updates[key] = sweep.getboolean(key)
-            if "base_va" in sweep:
-                updates["base_va"] = int(sweep["base_va"], 0)
-            if "base_ppn" in sweep:
-                updates["base_ppn"] = int(sweep["base_ppn"], 0)
-            if "out" in sweep:
-                updates["out_path"] = sweep["out"].strip()
-            config = replace(config, **updates)
-        if parser.has_section("latency"):
-            latency = parser["latency"]
-            cycles = {}
-            for key in ("l1_hit_cycles", "l2_lookup_cycles", "mem_read_cycles"):
-                if key in latency:
-                    cycles[key] = int(latency[key], 0)
-            unknown = set(latency) - {
-                "l1_hit_cycles", "l2_lookup_cycles", "mem_read_cycles",
-            }
-            if unknown:
-                raise ConfigError(f"unknown latency keys {sorted(unknown)}")
+    if parser.has_section("sweep"):
+        updates = _read_section(parser["sweep"], ExperimentConfig, _SWEEP_KEYS)
+        config = replace(config, **updates)
+    if parser.has_section("latency"):
+        cycles = _read_section(parser["latency"], LatencyModel, {})
+        try:
             config = replace(config, latency=replace(config.latency, **cycles))
-        if parser.has_section("configs"):
-            rows = []
-            for key, value in parser["configs"].items():
-                try:
-                    config_id = int(key)
-                except ValueError:
-                    raise ConfigError(f"config id {key!r} is not an int") from None
-                rows.append(_parse_config_row(config_id, value))
-            config = replace(config, configs=tuple(rows))
-    except ValueError as exc:
-        raise ConfigError(f"bad value in {path!r}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"[latency] {exc}") from None
+    if parser.has_section("configs"):
+        rows = []
+        for key, value in parser["configs"].items():
+            try:
+                rows.append(_parse_config_row(key, value))
+            except ValueError as exc:
+                raise ConfigError(f"[configs] {key}: {exc}") from None
+        config = replace(config, configs=tuple(rows))
     return config.validate()

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError
 from .pagetable import RegionSpec
-from .sv39 import NAPOT_OFFSET_MASK, PAGE_BYTES, PAGE_SHIFT, PageSize
+from .sv39 import PAGE_BYTES, PAGE_SHIFT, PageSize
 
 PATTERNS = ("linear", "random")
 CHUNK_MIN_BYTES = 4 << 10
@@ -92,15 +91,9 @@ def make_regions(spec, base_va, base_ppn):
 
     The region length is the chunk rounded up to a whole page, so a chunk
     smaller than the 64KB page size still gets one full NAPOT group behind
-    it.
+    it. RegionSpec checks the alignment and range of base_va and base_ppn.
     """
     page = spec.page_size
-    if base_va % page:
-        raise AlignmentError(f"base va {base_va:#x} not aligned to {page}")
-    if page == PageSize.PAGE_64K and base_ppn & NAPOT_OFFSET_MASK:
-        raise AlignmentError(
-            f"base ppn {base_ppn:#x} not aligned to a 16-frame group"
-        )
     length = ((spec.chunk_bytes + page - 1) // page) * page
     return [RegionSpec(base_va, length, page, base_ppn)]
 

@@ -103,6 +103,39 @@ def test_run_rejects_missing_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# the table frames of a 64KB group ending on the last frame wrap past 44 bits
+OVERFLOW_INI = """
+[sweep]
+chunk_max = 4K
+measured_accesses = 10
+base_ppn = 0xFFFFFFFFFF0
+
+[configs]
+1 = ways=4, page=64K
+"""
+
+
+@pytest.mark.parametrize(
+    "text, extra, message",
+    [
+        (None, [], "Is a directory"),
+        ("[sweep]\nseed = x\n", [], "[sweep] seed:"),
+        (SMALL_INI, ["--seed", "-1"], "seed:"),
+        (OVERFLOW_INI, [], "page-table frame 0x100000000000"),
+    ],
+    ids=["directory", "bad-sweep-value", "negative-seed", "table-frame-overflow"],
+)
+def test_run_rejects_bad_input(tmp_path, capsys, text, extra, message):
+    config = tmp_path
+    if text is not None:
+        config = tmp_path / "exp.ini"
+        config.write_text(text)
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_run_default_selects_builtin_grid(tmp_path, monkeypatch):
     seen = []
 

@@ -17,7 +17,6 @@ from napotsim.errors import (
     AlignmentError,
     CanonicalityError,
     RegionOverlapError,
-    UnmappedAccessError,
 )
 from napotsim.pagetable import (
     PtwCache,
@@ -27,7 +26,14 @@ from napotsim.pagetable import (
     validate_regions,
     walk,
 )
-from napotsim.sv39 import PageSize, decode_pte, leaf_pte, napot_translate, table_pte
+from napotsim.sv39 import (
+    PPN_MASK,
+    PageSize,
+    decode_pte,
+    leaf_pte,
+    napot_translate,
+    table_pte,
+)
 
 GB = 1 << 30
 MB2 = 2 << 20
@@ -98,6 +104,10 @@ def test_region_spec_validation():
         RegionSpec(0x3F_FFFF_F000, KB4 * 2, PageSize.PAGE_4K, 0x1000)
     with pytest.raises(ValueError):
         RegionSpec(0x4000_0000, KB4, 8192, 0x1000)
+    RegionSpec(0x4000_0000, KB4, PageSize.PAGE_4K, PPN_MASK)
+    with pytest.raises(ValueError, match="PPN range"):
+        # the second frame would wrap to 0 in encode_pte
+        RegionSpec(0x4000_0000, KB4 * 2, PageSize.PAGE_4K, PPN_MASK)
 
 
 def test_region_overlap_detection():
@@ -154,6 +164,13 @@ def test_build_rejects_overlap():
     ]
     with pytest.raises(RegionOverlapError):
         build_page_tables(regions)
+
+
+def test_build_rejects_table_frames_past_ppn_range():
+    # the region ends on the last frame, so the root table would be 1 << 44
+    region = RegionSpec(0x4000_0000, KB64, PageSize.PAGE_64K, PPN_MASK - 15)
+    with pytest.raises(ValueError, match="frame 0x100000000000"):
+        build_page_tables([region])
 
 
 def test_tables_allocated_above_region_frames():

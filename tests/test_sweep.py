@@ -2,14 +2,16 @@
 
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from napotsim import sweep
 from napotsim.engine import LatencyModel
 from napotsim.errors import ConfigError
-from napotsim.sv39 import PageSize
+from napotsim.sv39 import PPN_MASK, PageSize
 from napotsim.sweep import (
     CSV_HEADER,
     DEFAULT_CONFIGS,
@@ -84,11 +86,27 @@ def test_default_grid_shape():
         dict(base_va=0x1000),
         dict(base_ppn=0x3),
         dict(base_va=0x3F_F800_0000),  # 256MB would cross the canonical hole
+        dict(seed=-1),
+        # a 64KB-page grid whose second group runs past PPN_MASK
+        dict(
+            configs=(TlbConfig(1, 4, PageSize.PAGE_64K, ("linear",)),),
+            chunk_max_bytes=128 << 10,
+            base_ppn=PPN_MASK - 15,
+        ),
     ],
 )
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
         replace(ExperimentConfig(), **kwargs).validate()
+
+
+def test_4k_only_grid_needs_only_4k_alignment():
+    # 64KB alignment of base_va and base_ppn is asked only of 64KB configs
+    config = small_config(base_va=0x1000, base_ppn=0x3).validate()
+    rows = run_cell(config, config.configs[0], "linear", KB4)
+    assert rows[1].l1_hits == 200
+    with pytest.raises(ConfigError, match="not aligned"):
+        replace(config, configs=DEFAULT_CONFIGS).validate()
 
 
 def test_cell_seed_depends_on_pattern_and_chunk_only():
@@ -271,23 +289,36 @@ def test_load_config_empty_file_gives_defaults(tmp_path):
 
 
 def test_load_config_errors(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="missing.ini"):
         load_config(tmp_path / "missing.ini")
+    with pytest.raises(ConfigError, match="Is a directory"):
+        load_config(tmp_path)
     bad = tmp_path / "bad.ini"
-    for text in (
-        "[sweep]\nchunk_min = ten\n",
-        "[sweep]\nwhatever = 1\n",
-        "[mystery]\nx = 1\n",
-        "[latency]\nl4_cycles = 1\n",
-        "[configs]\none = ways=4, page=4K\n",
-        "[configs]\n1 = ways=4, page=2M\n",
-        "[configs]\n1 = ways=4\n",
-        "[configs]\n1 = ways=4, page=4K, bogus=1\n",
-        "[configs]\n1 = ways=5, page=4K\n",
+    for text, message in (
+        ("[sweep]\nchunk_min = ten\n", r"\[sweep\] chunk_min: .*'ten'"),
+        ("[sweep]\nwhatever = 1\n", r"\[sweep\] unknown keys \['whatever'\]"),
+        ("[mystery]\nx = 1\n", r"unknown sections \['mystery'\]"),
+        ("[latency]\nl4_cycles = 1\n", r"\[latency\] unknown keys \['l4_cycles'\]"),
+        ("[configs]\none = ways=4, page=4K\n", r"\[configs\] one: .*not an int"),
+        ("[configs]\n1 = ways=4, page=2M\n", r"\[configs\] 1: unknown page size"),
+        ("[configs]\n1 = ways=4\n", r"\[configs\] 1: missing field 'page'"),
+        ("[configs]\n1 = ways=4, page=4K, bogus=1\n", r"\[configs\] 1: .*bogus"),
+        ("[configs]\n1 = ways=5, page=4K\n", "config 1: ways must be 4 or 16"),
+        ("[sweep]\nseed = x\n", r"\[sweep\] seed: .*'x'"),
+        ("[sweep]\ninclude_warmup = maybe\n", r"\[sweep\] include_warmup: .*'maybe'"),
     ):
         bad.write_text(text)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=message):
             load_config(bad)
+
+
+def test_readme_example_config_loads_to_defaults(tmp_path):
+    # guards that every documented key is one load_config accepts
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    path = tmp_path / "example.ini"
+    path.write_text(example)
+    assert load_config(path) == ExperimentConfig()
 
 
 def test_results_identical_across_trace_sharing():

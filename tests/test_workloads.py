@@ -1,6 +1,5 @@
 """Trace generation: coverage, determinism, distribution, file round trip."""
 
-import collections
 import math
 import random
 

@@ -10,7 +10,7 @@ and walk-cache state carries across the phase boundary.
 from dataclasses import dataclass, field
 
 from .errors import CanonicalityError, InvariantError, UnmappedAccessError
-from .pagetable import PtwCache, build_page_tables, walk
+from .pagetable import PTW_CACHE_ENTRIES, PtwCache, build_page_tables, walk
 from .sv39 import CANONICAL_HIGH, OFFSET_MASK, PAGE_SHIFT, VPN_MASK
 from .tlb import L1_ENTRIES, L2_ENTRIES, L1Dtlb, L2Tlb
 
@@ -101,7 +101,7 @@ class Simulation:
         replacement="lru",
         seed=0,
         l1_entries=L1_ENTRIES,
-        ptw_cache_entries=None,
+        ptw_cache_entries=PTW_CACHE_ENTRIES,
         latency=None,
         flush_ptw_between_phases=False,
     ):
@@ -109,10 +109,7 @@ class Simulation:
         self.mem, self.root_ppn = build_page_tables(self.regions)
         self.l1 = L1Dtlb(l1_entries)
         self.l2 = L2Tlb(l2_entries, ways, replacement, seed)
-        if ptw_cache_entries is None:
-            self.ptw_cache = PtwCache()
-        else:
-            self.ptw_cache = PtwCache(ptw_cache_entries)
+        self.ptw_cache = PtwCache(ptw_cache_entries)
         self.latency = latency if latency is not None else LatencyModel()
         self.flush_ptw_between_phases = flush_ptw_between_phases
         self.stats = SimStats()

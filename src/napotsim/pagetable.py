@@ -1,34 +1,33 @@
 """Synthetic sv39 page tables in simulated physical memory, plus the walker.
 
-build_page_tables lays out a three-level radix tree for a list of mapped
-regions. 4KB regions get one level-0 leaf per page; 64KB regions get 16
-identical NAPOT leaves per group, since every slot of a group must carry
-the marked entry. walk traverses the tree through a small LRU cache of
-non-leaf PTEs and reports how many memory reads the traversal cost.
+build_page_tables lays out a three-level radix tree of raw 64-bit PTE words
+for a list of mapped regions. 4KB regions get one level-0 leaf per page;
+64KB regions get 16 identical NAPOT leaves per group, since every slot of a
+group must carry the marked entry. walk traverses the tree through a small
+LRU cache of non-leaf PTEs and reports how many memory reads it cost.
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .errors import (
-    AlignmentError,
-    CanonicalityError,
-    RegionOverlapError,
-    SuperpageError,
-)
+from .errors import AlignmentError, CanonicalityError, RegionOverlapError, SuperpageError
 from .sv39 import (
     LEVEL_MASK,
     NAPOT_OFFSET_MASK,
     NAPOT_PPN_PATTERN,
     PAGE_SHIFT,
     PPN_MASK,
+    PTE_N,
+    PTE_PPN_SHIFT,
+    PTE_R,
+    PTE_RWX,
+    PTE_V,
+    PTE_W,
     VPN_MASK,
     PageSize,
     check_canonical,
-    decode_pte,
-    encode_pte,
-    leaf_pte,
-    table_pte,
+    check_napot_shape,
+    decode_pte,  # noqa: F401  re-exported; napotbench's tracer wraps it here
 )
 
 PTW_CACHE_ENTRIES = 8
@@ -112,7 +111,10 @@ class SimPhysMem:
 
 
 class PtwCache:
-    """Fully associative LRU cache of non-leaf PTEs, keyed (level, VPN prefix)."""
+    """Fully associative LRU cache of raw non-leaf PTEs under int keys.
+
+    walk keys the pointer found at level L by (VPN >> 9*L) << 2 | L, so
+    the VPN prefixes of the two levels never collide."""
 
     def __init__(self, capacity=PTW_CACHE_ENTRIES):
         if capacity < 1:
@@ -120,24 +122,21 @@ class PtwCache:
         self.capacity = capacity
         self._entries = OrderedDict()
 
-    def get(self, level, prefix):
-        key = (level, prefix)
-        entry = self._entries.get(key)
-        if entry is not None:
+    def get(self, key):
+        pte = self._entries.get(key)
+        if pte is not None:
             self._entries.move_to_end(key)
-        return entry
+        return pte
 
-    def put(self, level, prefix, pte):
-        if not pte.valid or pte.is_leaf:
+    def put(self, key, pte):
+        if not pte & PTE_V or pte & PTE_RWX:
             raise ValueError("only valid non-leaf PTEs belong in the walk cache")
-        key = (level, prefix)
-        if key in self._entries:
-            self._entries[key] = pte
-            self._entries.move_to_end(key)
-            return
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-        self._entries[key] = pte
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+        elif len(entries) >= self.capacity:
+            entries.popitem(last=False)
+        entries[key] = pte
 
     def flush(self):
         self._entries.clear()
@@ -146,80 +145,83 @@ class PtwCache:
         return len(self._entries)
 
 
-def build_page_tables(regions, first_table_frame=None):
+def table_frames(regions):
+    """Frames for the root, one table per distinct 1GB slot and one per
+    distinct 2MB slot the regions span, right above the regions' own frames.
+
+    A frame past the 44-bit PPN range raises ValueError: a pointer PTE
+    cannot hold it.
+    """
+    first = max((r.base_ppn + r.num_pages for r in regions), default=0)
+    end = first + 1
+    for shift in (18, 9):
+        slots = set()
+        for r in regions:
+            low = (r.base_va >> PAGE_SHIFT) & VPN_MASK
+            high = ((r.end_va - 1) >> PAGE_SHIFT) & VPN_MASK
+            slots.update(range(low >> shift, (high >> shift) + 1))
+        end += len(slots)
+    if end - 1 > PPN_MASK:
+        raise ValueError(
+            f"page-table frame {max(first, PPN_MASK + 1):#x} "
+            "is past the 44-bit PPN range"
+        )
+    return range(first, end)
+
+
+def build_page_tables(regions):
     """Construct the radix tree for the regions; returns (memory, root frame).
 
-    Table frames are allocated from first_table_frame upward; by default
-    that is the first frame above every region's backing frames, so tables
-    never collide with mapped data. A table frame past the 44-bit PPN range
-    raises ValueError, since encode_pte would wrap it onto a low frame.
+    Tables take the frames of table_frames(regions) in order: the root, then
+    each table when the first page under it is mapped. Leaves are R+W.
     """
-    ordered = validate_regions(regions)
-    if first_table_frame is None:
-        first_table_frame = max(
-            (r.base_ppn + r.num_pages for r in ordered), default=0
-        )
+    alloc = iter(table_frames(regions)).__next__
     mem = SimPhysMem()
-    next_frame = first_table_frame
-
-    def alloc():
-        nonlocal next_frame
-        frame = next_frame
-        if frame > PPN_MASK:
-            raise ValueError(
-                f"page-table frame {frame:#x} is past the 44-bit PPN range"
-            )
-        next_frame += 1
-        return frame
-
+    write64 = mem.write64
     root = alloc()
-    l1_frames = {}
-    l0_frames = {}
-    for region in ordered:
+    tables = {}  # walk-cache key of each pointer -> the table it points to
+    for region in validate_regions(regions):
         base_vpn = (region.base_va >> PAGE_SHIFT) & VPN_MASK
         napot = region.page_size == PageSize.PAGE_64K
+        leaf_flags = PTE_V | PTE_R | PTE_W | (PTE_N if napot else 0)
         for i in range(region.num_pages):
             vpn = base_vpn + i
-            vpn2 = vpn >> 18
-            vpn1 = (vpn >> 9) & LEVEL_MASK
-            l1f = l1_frames.get(vpn2)
-            if l1f is None:
-                l1f = alloc()
-                l1_frames[vpn2] = l1f
-                mem.write64(
-                    (root << PAGE_SHIFT) | (vpn2 << 3),
-                    encode_pte(table_pte(l1f, 2)),
-                )
-            l0f = l0_frames.get((vpn2, vpn1))
-            if l0f is None:
-                l0f = alloc()
-                l0_frames[(vpn2, vpn1)] = l0f
-                mem.write64(
-                    (l1f << PAGE_SHIFT) | (vpn1 << 3),
-                    encode_pte(table_pte(l0f, 1)),
-                )
+            if i == 0 or not vpn & LEVEL_MASK:
+                # first page in a 2MB slot: find its level-0 table, adding
+                # the missing tables and pointers on the way
+                table = root
+                for level in (2, 1):
+                    shift = 9 * level
+                    key = ((vpn >> shift) << 2) | level
+                    if key not in tables:
+                        tables[key] = alloc()
+                        write64(
+                            (table << PAGE_SHIFT) | (((vpn >> shift) & LEVEL_MASK) << 3),
+                            (tables[key] << PTE_PPN_SHIFT) | PTE_V,
+                        )
+                    table = tables[key]
             if napot:
                 # all 16 slots of the group carry the same marked leaf
                 ppn = (region.base_ppn + (i & ~NAPOT_OFFSET_MASK)) | NAPOT_PPN_PATTERN
             else:
                 ppn = region.base_ppn + i
-            mem.write64(
-                (l0f << PAGE_SHIFT) | ((vpn & LEVEL_MASK) << 3),
-                encode_pte(leaf_pte(ppn, n_bit=napot)),
+            write64(
+                (table << PAGE_SHIFT) | ((vpn & LEVEL_MASK) << 3),
+                (ppn << PTE_PPN_SHIFT) | leaf_flags,
             )
     return mem, root
 
 
 @dataclass
 class WalkResult:
-    pte: object
+    pte: int
     memory_reads: int
     cache_hits: int
     faulted: bool
 
 
 def walk(root_ppn, mem, cache, va):
-    """Resolve va down to its level-0 leaf PTE.
+    """Resolve va down to its raw level-0 leaf PTE.
 
     Probes the walk cache deepest-first: a cached level-1 entry leaves only
     the leaf fetch (1 read), a cached level-2 entry skips the root (2 reads),
@@ -228,36 +230,26 @@ def walk(root_ppn, mem, cache, va):
     """
     check_canonical(va)
     vpn = (va >> PAGE_SHIFT) & VPN_MASK
+    table, level, cache_hits = root_ppn, 2, 0
+    for cached in (1, 2):
+        pte = cache.get(((vpn >> (9 * cached)) << 2) | cached)
+        if pte is not None:
+            table, level, cache_hits = (pte >> PTE_PPN_SHIFT) & PPN_MASK, cached - 1, 1
+            break
     reads = 0
-    cache_hits = 0
-    pte1 = cache.get(1, vpn >> 9)
-    if pte1 is not None:
-        cache_hits += 1
-    else:
-        pte2 = cache.get(2, vpn >> 18)
-        if pte2 is not None:
-            cache_hits += 1
-        else:
-            raw = mem.read64((root_ppn << PAGE_SHIFT) | ((vpn >> 18) << 3))
-            reads += 1
-            pte2 = decode_pte(raw, level=2)
-            if not pte2.valid:
-                return WalkResult(pte2, reads, cache_hits, True)
-            if pte2.is_leaf:
-                raise SuperpageError(f"1GB leaf on the path of va {va:#x}")
-            cache.put(2, vpn >> 18, pte2)
-        raw = mem.read64((pte2.ppn << PAGE_SHIFT) | (((vpn >> 9) & LEVEL_MASK) << 3))
+    while True:
+        shift = 9 * level
+        pte = mem.read64((table << PAGE_SHIFT) | (((vpn >> shift) & LEVEL_MASK) << 3))
         reads += 1
-        pte1 = decode_pte(raw, level=1)
-        if not pte1.valid:
-            return WalkResult(pte1, reads, cache_hits, True)
-        if pte1.is_leaf:
-            raise SuperpageError(f"2MB leaf on the path of va {va:#x}")
-        cache.put(1, vpn >> 9, pte1)
-    raw = mem.read64((pte1.ppn << PAGE_SHIFT) | ((vpn & LEVEL_MASK) << 3))
-    reads += 1
-    leaf = decode_pte(raw, level=0)
-    if not leaf.valid or not leaf.is_leaf:
-        # a pointer PTE at level 0 has nowhere to go; treat as unmapped
-        return WalkResult(leaf, reads, cache_hits, True)
-    return WalkResult(leaf, reads, cache_hits, False)
+        if pte & PTE_N:
+            check_napot_shape(pte, level)
+        if level == 0 or not pte & PTE_V:
+            # only a valid leaf maps va; a level-0 pointer has nowhere to go
+            faulted = not (pte & PTE_V and pte & PTE_RWX)
+            return WalkResult(pte, reads, cache_hits, faulted)
+        if pte & PTE_RWX:
+            size = "2MB" if level == 1 else "1GB"
+            raise SuperpageError(f"{size} leaf on the path of va {va:#x}")
+        cache.put(((vpn >> shift) << 2) | level, pte)
+        table = (pte >> PTE_PPN_SHIFT) & PPN_MASK
+        level -= 1

@@ -34,6 +34,8 @@ PTE_V = 1 << 0
 PTE_R = 1 << 1
 PTE_W = 1 << 2
 PTE_X = 1 << 3
+# any of R/W/X marks a leaf; shifted down by one they are the perm bits
+PTE_RWX = PTE_R | PTE_W | PTE_X
 PTE_PPN_SHIFT = 10
 PTE_N = 1 << 63
 
@@ -157,15 +159,27 @@ def encode_pte(entry):
     return raw
 
 
-def decode_pte(raw, level=0):
-    """Decode a raw 64-bit PTE found at the given tree level.
+def check_napot_shape(raw, level=0):
+    """Raise MalformedNapotError unless a valid N=1 PTE is a level-0 64KB leaf."""
+    if raw & PTE_N and raw & PTE_V:
+        if level != 0 or not raw & PTE_RWX:
+            raise MalformedNapotError(
+                f"N bit set on a non-leaf or level-{level} entry"
+            )
+        ppn = (raw >> PTE_PPN_SHIFT) & PPN_MASK
+        if ppn & NAPOT_OFFSET_MASK != NAPOT_PPN_PATTERN:
+            raise MalformedNapotError(
+                f"N bit set but ppn {ppn:#x} lacks the 64KB pattern"
+            )
 
-    An invalid entry (V=0) decodes without further checks. A valid entry
-    with N=1 must be a level-0 leaf carrying the 64KB PPN pattern.
-    """
-    valid = bool(raw & PTE_V)
-    entry = PageTableEntry(
-        valid,
+
+def decode_pte(raw, level=0):
+    """Decode a raw 64-bit PTE found at the given tree level, for inspection
+    only: the simulator works on raw words. Raises what check_napot_shape
+    raises; an invalid entry (V=0) decodes without further checks."""
+    check_napot_shape(raw, level)
+    return PageTableEntry(
+        bool(raw & PTE_V),
         bool(raw & PTE_R),
         bool(raw & PTE_W),
         bool(raw & PTE_X),
@@ -173,16 +187,6 @@ def decode_pte(raw, level=0):
         bool(raw & PTE_N),
         level,
     )
-    if valid and entry.n_bit:
-        if level != 0 or not entry.is_leaf:
-            raise MalformedNapotError(
-                f"N bit set on a non-leaf or level-{level} entry"
-            )
-        if entry.ppn & NAPOT_OFFSET_MASK != NAPOT_PPN_PATTERN:
-            raise MalformedNapotError(
-                f"N bit set but ppn {entry.ppn:#x} lacks the 64KB pattern"
-            )
-    return entry
 
 
 def phys_addr(ppn, page_offset):

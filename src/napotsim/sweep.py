@@ -19,8 +19,8 @@ import numpy as np
 
 from .engine import MEASUREMENT, WARMUP, LatencyModel, Simulation
 from .errors import ConfigError
-from .pagetable import PtwCache
-from .sv39 import PageSize
+from .pagetable import PTW_CACHE_ENTRIES, PtwCache, table_frames
+from .sv39 import PageSize, check_canonical
 from .tlb import L1_ENTRIES, L2_ENTRIES, L1Dtlb, L2Tlb
 from .workloads import (
     CHUNK_MAX_BYTES,
@@ -82,7 +82,7 @@ class ExperimentConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
     l1_entries: int = L1_ENTRIES
     l2_entries: int = L2_ENTRIES
-    ptw_cache_entries: int = 8
+    ptw_cache_entries: int = PTW_CACHE_ENTRIES
     flush_ptw_between_phases: bool = False
     base_va: int = DEFAULT_BASE_VA
     base_ppn: int = DEFAULT_BASE_PPN
@@ -93,8 +93,9 @@ class ExperimentConfig:
         """Check the config by building what the sweep builds; returns self.
 
         Only the rules no component owns live here. Every other rule is
-        checked by the constructor that enforces it, on the largest chunk,
-        and its ValueError becomes a ConfigError.
+        checked by the constructor that enforces it; its ValueError becomes
+        a ConfigError naming the key, or the config id when the rule
+        involves a row, which is checked on the largest chunk.
         """
         if not self.configs:
             raise ConfigError("no configurations to sweep")
@@ -102,6 +103,15 @@ class ExperimentConfig:
             raise ConfigError("chunk_min_bytes exceeds chunk_max_bytes")
         for key, build, args in (
             ("seed", cell_seed, (self.seed, PATTERNS[0], CHUNK_MIN_BYTES)),
+            ("chunk_min_bytes", WorkloadSpec, (self.chunk_min_bytes, PATTERNS[0])),
+            ("chunk_max_bytes", WorkloadSpec, (self.chunk_max_bytes, PATTERNS[0])),
+            ("measured_accesses", WorkloadSpec,
+             (CHUNK_MIN_BYTES, PATTERNS[0], PageSize.PAGE_4K, 0,
+              self.measured_accesses)),
+            ("replacement", L2Tlb, (1, 1, self.replacement)),
+            # positive and a power of two, as any 4- or 16-way L2 needs
+            ("l2_entries", L2Tlb, (self.l2_entries, 1)),
+            ("base_va", check_canonical, (self.base_va,)),
             ("l1_entries", L1Dtlb, (self.l1_entries,)),
             ("ptw_cache_entries", PtwCache, (self.ptw_cache_entries,)),
         ):
@@ -124,15 +134,9 @@ class ExperimentConfig:
             try:
                 L2Tlb(self.l2_entries, cfg.ways, self.replacement)
                 for pattern in cfg.patterns:
-                    for chunk in (self.chunk_min_bytes, self.chunk_max_bytes):
-                        spec = WorkloadSpec(
-                            chunk,
-                            pattern,
-                            cfg.page_size,
-                            measured_accesses=self.measured_accesses,
-                        )
-                # the largest chunk's region covers every smaller one's
-                make_regions(spec, self.base_va, self.base_ppn)
+                    spec = WorkloadSpec(self.chunk_max_bytes, pattern, cfg.page_size)
+                # the largest chunk's region and tables cover every smaller one's
+                table_frames(make_regions(spec, self.base_va, self.base_ppn))
             except ValueError as exc:
                 raise ConfigError(f"config {cfg.config_id}: {exc}") from None
         return self

@@ -14,13 +14,17 @@ the two entry kinds in disjoint namespaces: vpn << 1 for a 4KB entry,
 import random
 from collections import OrderedDict
 
-from .errors import MalformedNapotError
 from .sv39 import (
     NAPOT_OFFSET_MASK,
-    NAPOT_PPN_PATTERN,
     NAPOT_SHIFT,
     PAGE_SHIFT,
+    PPN_MASK,
+    PTE_N,
+    PTE_PPN_SHIFT,
+    PTE_RWX,
+    PTE_V,
     VPN_MASK,
+    check_napot_shape,
 )
 
 L1_ENTRIES = 32
@@ -72,24 +76,22 @@ class L2Tlb:
         return None
 
     def insert(self, vpn, pte):
-        """Install the leaf PTE for vpn, evicting per policy if the set is full.
+        """Install the raw leaf PTE for vpn, evicting per policy if the set is full.
 
         Returns (final 4KB ppn, perm bits) for vpn, the same pair lookup()
         would return for it. Reinstalling a resident translation refreshes it
         in place instead of consuming another way.
         """
-        if not pte.valid or not pte.is_leaf or pte.level != 0:
+        if not pte & PTE_V or not pte & PTE_RWX:
             raise ValueError("L2 entries must come from valid level-0 leaves")
-        if pte.n_bit:
-            if pte.ppn & NAPOT_OFFSET_MASK != NAPOT_PPN_PATTERN:
-                raise MalformedNapotError(
-                    f"ppn {pte.ppn:#x} lacks the 64KB NAPOT pattern"
-                )
+        entry_ppn = (pte >> PTE_PPN_SHIFT) & PPN_MASK
+        if pte & PTE_N:
+            check_napot_shape(pte)
             key = ((vpn >> NAPOT_SHIFT) << 1) | 1
-            ppn = (pte.ppn & ~NAPOT_OFFSET_MASK) | (vpn & NAPOT_OFFSET_MASK)
+            ppn = (entry_ppn & ~NAPOT_OFFSET_MASK) | (vpn & NAPOT_OFFSET_MASK)
         else:
             key = vpn << 1
-            ppn = pte.ppn
+            ppn = entry_ppn
         entries = self._sets[(vpn >> NAPOT_SHIFT) & self.set_mask]
         if key in entries:
             entries.move_to_end(key)
@@ -99,8 +101,8 @@ class L2Tlb:
             else:
                 victim = list(entries)[self._rng.randrange(len(entries))]
                 del entries[victim]
-        perms = pte.perm_bits
-        entries[key] = (vpn, pte.ppn, perms)
+        perms = (pte & PTE_RWX) >> 1
+        entries[key] = (vpn, entry_ppn, perms)
         return ppn, perms
 
     def flush(self, va):

@@ -37,7 +37,7 @@ import pytest
 
 from napotsim.engine import L1_HIT, L2_HIT, WALK, Simulation
 from napotsim.pagetable import RegionSpec
-from napotsim.sv39 import PageSize, leaf_pte, napot_encode_ppn
+from napotsim.sv39 import PageSize, encode_pte, leaf_pte, napot_encode_ppn
 from napotsim.sweep import ExperimentConfig, emit_csv, run_sweep
 from napotsim.tlb import L2Tlb, l2_index
 
@@ -226,10 +226,10 @@ def test_08_napot_differential():
         discrete_tlb.flush_all()
         napot_tlb.insert(
             group_vpn | rng.randrange(16),
-            leaf_pte(napot_encode_ppn(base_frame), n_bit=True),
+            encode_pte(leaf_pte(napot_encode_ppn(base_frame), n_bit=True)),
         )
         for k in range(16):
-            discrete_tlb.insert(group_vpn | k, leaf_pte(base_frame + k))
+            discrete_tlb.insert(group_vpn | k, encode_pte(leaf_pte(base_frame + k)))
         for k in range(16):
             via_napot = napot_tlb.lookup(group_vpn | k)
             via_discrete = discrete_tlb.lookup(group_vpn | k)
@@ -253,9 +253,10 @@ def test_09_flush_semantics():
             vpn = rng.getrandbits(27)
             if rng.random() < 0.3:
                 frame = rng.getrandbits(40) & ~0xF
-                tlb.insert(vpn, leaf_pte(napot_encode_ppn(frame), n_bit=True))
+                pte = leaf_pte(napot_encode_ppn(frame), n_bit=True)
+                tlb.insert(vpn, encode_pte(pte))
             else:
-                tlb.insert(vpn, leaf_pte(rng.getrandbits(44)))
+                tlb.insert(vpn, encode_pte(leaf_pte(rng.getrandbits(44))))
         va = rng.getrandbits(38)
         vpn = va >> 12
         flushed_set = l2_index(vpn, tlb.sets)

@@ -116,21 +116,25 @@ base_ppn = 0xFFFFFFFFFF0
 
 
 @pytest.mark.parametrize(
-    "text, extra, message",
+    "command, text, extra, message",
     [
-        (None, [], "Is a directory"),
-        ("[sweep]\nseed = x\n", [], "[sweep] seed:"),
-        (SMALL_INI, ["--seed", "-1"], "seed:"),
-        (OVERFLOW_INI, [], "page-table frame 0x100000000000"),
+        ("run", None, [], "Is a directory"),
+        ("run", "[sweep]\nseed = x\n", [], "[sweep] seed:"),
+        ("run", SMALL_INI, ["--seed", "-1"], "seed:"),
+        ("run", OVERFLOW_INI, [], "page-table frame 0x100000000000"),
+        ("validate", OVERFLOW_INI, [], "page-table frame 0x100000000000"),
     ],
-    ids=["directory", "bad-sweep-value", "negative-seed", "table-frame-overflow"],
+    ids=["directory", "bad-sweep-value", "negative-seed", "table-frame-overflow",
+         "validate-table-frame-overflow"],
 )
-def test_run_rejects_bad_input(tmp_path, capsys, text, extra, message):
+def test_run_rejects_bad_input(tmp_path, capsys, command, text, extra, message):
     config = tmp_path
     if text is not None:
         config = tmp_path / "exp.ini"
         config.write_text(text)
-    argv = ["run", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+    argv = [command, "--config", str(config)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "r.csv")]
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err

@@ -16,13 +16,16 @@ import pytest
 from napotsim.errors import (
     AlignmentError,
     CanonicalityError,
+    MalformedNapotError,
     RegionOverlapError,
+    SuperpageError,
 )
 from napotsim.pagetable import (
     PtwCache,
     RegionSpec,
     SimPhysMem,
     build_page_tables,
+    table_frames,
     validate_regions,
     walk,
 )
@@ -30,6 +33,7 @@ from napotsim.sv39 import (
     PPN_MASK,
     PageSize,
     decode_pte,
+    encode_pte,
     leaf_pte,
     napot_translate,
     table_pte,
@@ -123,6 +127,7 @@ def test_build_single_4k_region():
     region = RegionSpec(0, KB4, PageSize.PAGE_4K, 0x1000)
     mem, root = build_page_tables([region])
     assert count_table_pages(mem, root) == expected_table_pages([region]) == 3
+    assert table_frames([region]) == range(0x1001, 0x1004)
     leaf = read_leaf(mem, root, 0)
     assert leaf.valid and leaf.is_leaf and not leaf.n_bit
     assert leaf.ppn == 0x1000
@@ -148,6 +153,7 @@ def test_build_shape_spans_levels():
     ]
     mem, root = build_page_tables(regions)
     assert count_table_pages(mem, root) == expected_table_pages(regions)
+    assert len(table_frames(regions)) == expected_table_pages(regions)
 
 
 def test_build_empty_region_list():
@@ -171,6 +177,8 @@ def test_build_rejects_table_frames_past_ppn_range():
     region = RegionSpec(0x4000_0000, KB64, PageSize.PAGE_64K, PPN_MASK - 15)
     with pytest.raises(ValueError, match="frame 0x100000000000"):
         build_page_tables([region])
+    with pytest.raises(ValueError, match="frame 0x100000000000"):
+        table_frames([region])
 
 
 def test_tables_allocated_above_region_frames():
@@ -215,7 +223,7 @@ def test_walk_translates_correctly():
         va = region.base_va + rng.randrange(region.length)
         result = walk(root, mem, cache, va & ~0xFFF)
         assert not result.faulted
-        leaf = result.pte
+        leaf = decode_pte(result.pte)
         if leaf.n_bit:
             frame = napot_translate(leaf.ppn, (va >> 12) & 0xF)
         else:
@@ -234,6 +242,62 @@ def test_walk_faults_outside_regions():
     # untouched GB slice: faults at the root
     result = walk(root, mem, PtwCache(), 0x20_0000_0000)
     assert result.faulted and result.memory_reads == 1 and result.cache_hits == 0
+
+
+V, R, W = 1, 2, 4
+N = 1 << 63
+
+
+def ptr_word(frame):
+    return (frame << 10) | V
+
+
+def leaf_word(ppn, flags=V | R | W):
+    return (ppn << 10) | flags
+
+
+# pointers to the level-1 table in frame 2 and the level-0 table in frame 3
+TO_L1, TO_L0 = ptr_word(2), ptr_word(3)
+
+
+@pytest.mark.parametrize(
+    "words, outcome",
+    [
+        ([0], (True, 1)),
+        ([leaf_word(0x40000)], (SuperpageError, "1GB leaf")),
+        ([TO_L1 | N], (MalformedNapotError, "non-leaf or level-2 entry")),
+        ([leaf_word(0x18) | N], (MalformedNapotError, "non-leaf or level-2 entry")),
+        ([TO_L1, leaf_word(0x200)], (SuperpageError, "2MB leaf")),
+        ([TO_L1, TO_L0 | N], (MalformedNapotError, "non-leaf or level-1 entry")),
+        ([TO_L1, 0], (True, 2)),
+        ([TO_L1, TO_L0, ptr_word(4)], (True, 3)),
+        ([TO_L1, TO_L0, ptr_word(0x18) | N], (MalformedNapotError, "non-leaf")),
+        ([TO_L1, TO_L0, leaf_word(0x17) | N], (MalformedNapotError, "lacks the 64KB")),
+        ([TO_L1, TO_L0, leaf_word(0x18, R | W) | N], (True, 3)),
+        ([TO_L1, TO_L0, leaf_word(0x1234)], (False, 3)),
+        ([TO_L1, TO_L0, leaf_word(0x18) | N], (False, 3)),
+        ([TO_L1, TO_L0, leaf_word(0x55, V | W)], (False, 3)),
+    ],
+    ids=[
+        "invalid-root", "1gb-leaf", "n-on-l2-pointer", "n-on-l2-leaf",
+        "2mb-leaf", "n-on-l1-pointer", "invalid-l1", "pointer-at-l0",
+        "n-pointer-at-l0", "n-leaf-bad-nibble", "invalid-n-leaf", "4kb-leaf",
+        "napot-leaf", "w-only-leaf",
+    ],
+)
+def test_walk_on_hand_written_tree(words, outcome):
+    # root in frame 1, level-1 table in frame 2, level-0 table in frame 3;
+    # va 0 uses slot 0 of each
+    mem = SimPhysMem()
+    for frame, word in enumerate(words, start=1):
+        mem.write64(frame << 12, word)
+    first, second = outcome
+    if isinstance(first, type):
+        with pytest.raises(first, match=second):
+            walk(1, mem, PtwCache(), 0)
+    else:
+        result = walk(1, mem, PtwCache(), 0)
+        assert (result.faulted, result.memory_reads) == outcome
 
 
 def test_walk_rejects_non_canonical():
@@ -257,34 +321,39 @@ def test_walk_flush_restores_cold_cost():
 
 def test_ptw_cache_capacity_and_lru():
     cache = PtwCache(capacity=8)
-    pte = table_pte(0x99, 1)
-    for prefix in range(9):
-        cache.put(1, prefix, pte)
+    pte = encode_pte(table_pte(0x99, 1))
+    for key in range(9):
+        cache.put(key, pte)
     assert len(cache) == 8
-    assert cache.get(1, 0) is None  # oldest went first
-    assert cache.get(1, 1) is not None
-    # prefix 1 is now most recent; adding one more evicts prefix 2
-    cache.put(1, 100, pte)
-    assert cache.get(1, 2) is None
-    assert cache.get(1, 1) is not None
+    assert cache.get(0) is None  # oldest went first
+    assert cache.get(1) == pte
+    # key 1 is now most recent; adding one more evicts key 2
+    cache.put(100, pte)
+    assert cache.get(2) is None
+    assert cache.get(1) is not None
 
 
 def test_ptw_cache_rejects_leaves():
     cache = PtwCache()
     with pytest.raises(ValueError):
-        cache.put(1, 0, decode_pte(0))
+        cache.put(0, 0)
     with pytest.raises(ValueError):
-        cache.put(1, 0, leaf_pte(0x10))
+        cache.put(0, encode_pte(leaf_pte(0x10)))
 
 
 def test_ptw_cache_levels_do_not_collide():
-    cache = PtwCache()
-    a = table_pte(0x10, 2)
-    b = table_pte(0x20, 1)
-    cache.put(2, 5, a)
-    cache.put(1, 5, b)
-    assert cache.get(2, 5) is a
-    assert cache.get(1, 5) is b
+    # the level-2 VPN prefix of one va equals the level-1 prefix of the other
+    regions = [
+        RegionSpec(5 << 30, KB4, PageSize.PAGE_4K, 0x1000),
+        RegionSpec(5 << 21, KB4, PageSize.PAGE_4K, 0x2000),
+    ]
+    mem, root = build_page_tables(regions)
+    for first, second in ((regions[0], regions[1]), (regions[1], regions[0])):
+        cache = PtwCache()
+        walk(root, mem, cache, first.base_va)
+        result = walk(root, mem, cache, second.base_va)
+        assert result.memory_reads == 3 and result.cache_hits == 0
+        assert decode_pte(result.pte).ppn == second.base_ppn
 
 
 def test_phys_mem_read_accounting():
@@ -304,12 +373,12 @@ def test_walk_deterministic():
     rng = random.Random(43)
     vas = [0x4000_0000 + (rng.randrange(256) << 12) for _ in range(200)]
     first = [
-        (r.pte.ppn, r.memory_reads, r.cache_hits)
+        (decode_pte(r.pte).ppn, r.memory_reads, r.cache_hits)
         for cache in [PtwCache()]
         for r in (walk(root, mem, cache, va) for va in vas)
     ]
     second = [
-        (r.pte.ppn, r.memory_reads, r.cache_hits)
+        (decode_pte(r.pte).ppn, r.memory_reads, r.cache_hits)
         for cache in [PtwCache()]
         for r in (walk(root, mem, cache, va) for va in vas)
     ]

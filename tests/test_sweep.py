@@ -68,35 +68,56 @@ def test_default_grid_shape():
     assert by_id[4].patterns == ("linear", "random")
 
 
+# (overrides, message the ConfigError starts with); a [sweep] key no config
+# affects is named alone, never blamed on a config
+REJECTED = [
+    (dict(configs=()), "no configurations"),
+    (dict(configs=(TlbConfig(1, 4, PageSize.PAGE_4K, ("linear",)),) * 2),
+     "duplicate config id 1"),
+    (dict(configs=(TlbConfig(1, 3, PageSize.PAGE_4K, ("linear",)),)),
+     "config 1: ways"),
+    (dict(configs=(TlbConfig(1, 8, PageSize.PAGE_4K, ("linear",)),)),
+     "config 1: ways"),
+    (dict(configs=(TlbConfig(1, 4, 8192, ("linear",)),)),
+     "config 1: unsupported page size"),
+    (dict(configs=(TlbConfig(1, 4, PageSize.PAGE_4K, ()),)), "config 1: no patterns"),
+    (dict(configs=(TlbConfig(1, 4, PageSize.PAGE_4K, ("zigzag",)),)),
+     "config 1: unknown pattern"),
+    (dict(chunk_min_bytes=3 << 10), "chunk_min_bytes: chunk_bytes 0xc00"),
+    (dict(chunk_min_bytes=64 << 10, chunk_max_bytes=4 << 10),
+     "chunk_min_bytes exceeds"),
+    (dict(measured_accesses=-1), "measured_accesses: "),
+    (dict(replacement="mru"), "replacement: unknown replacement policy 'mru'"),
+    (dict(l1_entries=0), "l1_entries: "),
+    (dict(base_va=0x1000), "config 3: base va 0x1000 not aligned"),
+    (dict(base_ppn=0x3), "config 3: base ppn 0x3 not aligned"),
+    # 256MB would cross the canonical hole
+    (dict(base_va=0x3F_F800_0000), "config 1: va 0x4007ffffff"),
+    (dict(seed=-1), "seed: "),
+    # a 64KB-page grid whose second group runs past PPN_MASK
+    (dict(
+        configs=(TlbConfig(1, 4, PageSize.PAGE_64K, ("linear",)),),
+        chunk_max_bytes=128 << 10,
+        base_ppn=PPN_MASK - 15,
+    ), "config 1: frames 0xffffffffff0..0x10000000000f"),
+    (dict(chunk_max_bytes=512 << 20), "chunk_max_bytes: "),
+    (dict(l2_entries=0), "l2_entries: "),
+    (dict(l2_entries=1000), "l2_entries: set count 1000"),
+    (dict(base_va=1 << 40), "base_va: va 0x10000000000 is not a canonical"),
+    # the region fits, but its page tables would start past PPN_MASK
+    (dict(
+        configs=(TlbConfig(1, 4, PageSize.PAGE_64K, ("linear",)),),
+        chunk_max_bytes=KB4,
+        base_ppn=PPN_MASK - 15,
+    ), "config 1: page-table frame 0x100000000000"),
+]
+
+
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(configs=()),
-        dict(configs=(TlbConfig(1, 4, PageSize.PAGE_4K, ("linear",)),) * 2),
-        dict(configs=(TlbConfig(1, 3, PageSize.PAGE_4K, ("linear",)),)),
-        dict(configs=(TlbConfig(1, 8, PageSize.PAGE_4K, ("linear",)),)),
-        dict(configs=(TlbConfig(1, 4, 8192, ("linear",)),)),
-        dict(configs=(TlbConfig(1, 4, PageSize.PAGE_4K, ()),)),
-        dict(configs=(TlbConfig(1, 4, PageSize.PAGE_4K, ("zigzag",)),)),
-        dict(chunk_min_bytes=3 << 10),
-        dict(chunk_min_bytes=64 << 10, chunk_max_bytes=4 << 10),
-        dict(measured_accesses=-1),
-        dict(replacement="mru"),
-        dict(l1_entries=0),
-        dict(base_va=0x1000),
-        dict(base_ppn=0x3),
-        dict(base_va=0x3F_F800_0000),  # 256MB would cross the canonical hole
-        dict(seed=-1),
-        # a 64KB-page grid whose second group runs past PPN_MASK
-        dict(
-            configs=(TlbConfig(1, 4, PageSize.PAGE_64K, ("linear",)),),
-            chunk_max_bytes=128 << 10,
-            base_ppn=PPN_MASK - 15,
-        ),
-    ],
+    "kwargs, message", REJECTED, ids=[f"kwargs{i}" for i in range(len(REJECTED))]
 )
-def test_config_validation_rejects(kwargs):
-    with pytest.raises(ConfigError):
+def test_config_validation_rejects(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         replace(ExperimentConfig(), **kwargs).validate()
 
 

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from napotsim.errors import MalformedNapotError
-from napotsim.sv39 import leaf_pte, napot_encode_ppn, table_pte
+from napotsim.sv39 import encode_pte, leaf_pte, napot_encode_ppn, table_pte
 from napotsim.tlb import L1Dtlb, L2Tlb, l2_index
 
 
@@ -19,7 +19,7 @@ def index_oracle(vpn, sets):
 
 
 def napot_pte(base_frame):
-    return leaf_pte(napot_encode_ppn(base_frame), n_bit=True)
+    return encode_pte(leaf_pte(napot_encode_ppn(base_frame), n_bit=True))
 
 
 def test_l2_index_known_values():
@@ -67,7 +67,7 @@ def test_l2_miss_on_empty():
 
 def test_l2_4k_entry_exact_match():
     tlb = L2Tlb()
-    assert tlb.insert(0x1230, leaf_pte(0x200)) == (0x200, 0b011)
+    assert tlb.insert(0x1230, encode_pte(leaf_pte(0x200))) == (0x200, 0b011)
     assert tlb.lookup(0x1230) == (0x200, 0b011)
     # same group, different page: a 4KB entry does not cover neighbors
     assert tlb.lookup(0x1231) is None
@@ -88,7 +88,7 @@ def test_l2_napot_entry_covers_group():
 def test_l2_4k_entry_wins_before_napot_probe():
     tlb = L2Tlb()
     tlb.insert(0x1230, napot_pte(0x80010))
-    tlb.insert(0x1231, leaf_pte(0x999))
+    tlb.insert(0x1231, encode_pte(leaf_pte(0x999)))
     assert tlb.lookup(0x1231) == (0x999, 0b011)
     assert tlb.lookup(0x1232) == (0x80012, 0b011)
 
@@ -96,9 +96,9 @@ def test_l2_4k_entry_wins_before_napot_probe():
 def test_l2_insert_rejects_bad_entries():
     tlb = L2Tlb()
     with pytest.raises(MalformedNapotError):
-        tlb.insert(0x1230, leaf_pte(0x80011, n_bit=True))
+        tlb.insert(0x1230, encode_pte(leaf_pte(0x80011, n_bit=True)))
     with pytest.raises(ValueError):
-        tlb.insert(0x1230, table_pte(0x10, 1))
+        tlb.insert(0x1230, encode_pte(table_pte(0x10, 1)))
 
 
 def test_l2_lru_eviction_within_set():
@@ -106,7 +106,7 @@ def test_l2_lru_eviction_within_set():
     # five 4KB pages in five different groups, all landing in set 0
     vpns = [k * 16 * 256 for k in range(5)]
     for vpn in vpns:
-        tlb.insert(vpn, leaf_pte(0x100 + vpn))
+        tlb.insert(vpn, encode_pte(leaf_pte(0x100 + vpn)))
     assert tlb.lookup(vpns[0]) is None
     for vpn in vpns[1:]:
         assert tlb.lookup(vpn) == (0x100 + vpn, 0b011)
@@ -117,9 +117,9 @@ def test_l2_lookup_refreshes_lru():
     tlb = L2Tlb(1024, 4)
     vpns = [k * 16 * 256 for k in range(4)]
     for vpn in vpns:
-        tlb.insert(vpn, leaf_pte(0x100 + vpn))
+        tlb.insert(vpn, encode_pte(leaf_pte(0x100 + vpn)))
     assert tlb.lookup(vpns[0]) is not None  # oldest becomes most recent
-    tlb.insert(5 * 16 * 256, leaf_pte(0x900))
+    tlb.insert(5 * 16 * 256, encode_pte(leaf_pte(0x900)))
     assert tlb.lookup(vpns[0]) is not None
     assert tlb.lookup(vpns[1]) is None  # the true oldest was evicted
 
@@ -128,10 +128,10 @@ def test_l2_reinsert_refreshes_in_place():
     tlb = L2Tlb(1024, 4)
     vpns = [k * 16 * 256 for k in range(4)]
     for vpn in vpns:
-        tlb.insert(vpn, leaf_pte(0x100 + vpn))
-    tlb.insert(vpns[0], leaf_pte(0x100 + vpns[0]))
+        tlb.insert(vpn, encode_pte(leaf_pte(0x100 + vpn)))
+    tlb.insert(vpns[0], encode_pte(leaf_pte(0x100 + vpns[0])))
     assert tlb.occupancy() == 4
-    tlb.insert(5 * 16 * 256, leaf_pte(0x900))
+    tlb.insert(5 * 16 * 256, encode_pte(leaf_pte(0x900)))
     assert tlb.lookup(vpns[0]) is not None
     assert tlb.lookup(vpns[1]) is None
 
@@ -141,9 +141,9 @@ def test_l2_mixed_sizes_share_a_set():
     # one NAPOT group plus three 4KB pages from other groups, same set
     tlb.insert(0, napot_pte(0x80010))
     for k in range(1, 4):
-        tlb.insert(k * 16 * 256, leaf_pte(0x100 + k))
+        tlb.insert(k * 16 * 256, encode_pte(leaf_pte(0x100 + k)))
     assert tlb.occupancy() == 4
-    tlb.insert(4 * 16 * 256, leaf_pte(0x500))
+    tlb.insert(4 * 16 * 256, encode_pte(leaf_pte(0x500)))
     # the NAPOT entry was oldest and lost its whole 64KB of reach
     assert tlb.lookup(0) is None
     assert tlb.lookup(7) is None
@@ -151,9 +151,9 @@ def test_l2_mixed_sizes_share_a_set():
 
 def test_l2_flush_clears_whole_set():
     tlb = L2Tlb(1024, 4)
-    tlb.insert(0x0, leaf_pte(0x100))
-    tlb.insert(16 * 256, leaf_pte(0x200))  # same set, next index wrap
-    tlb.insert(16, leaf_pte(0x300))  # set 1
+    tlb.insert(0x0, encode_pte(leaf_pte(0x100)))
+    tlb.insert(16 * 256, encode_pte(leaf_pte(0x200)))  # same set, next index wrap
+    tlb.insert(16, encode_pte(leaf_pte(0x300)))  # set 1
     tlb.flush(0x0)  # va 0 indexes set 0
     assert tlb.lookup(0x0) is None
     assert tlb.lookup(16 * 256) is None
@@ -162,7 +162,7 @@ def test_l2_flush_clears_whole_set():
 
 def test_l2_flush_uses_va_not_vpn():
     tlb = L2Tlb(1024, 4)
-    tlb.insert(0x10, leaf_pte(0x100))  # vpn 16 -> set 1
+    tlb.insert(0x10, encode_pte(leaf_pte(0x100)))  # vpn 16 -> set 1
     tlb.flush(0x10 << 12)
     assert tlb.lookup(0x10) is None
 
@@ -170,7 +170,7 @@ def test_l2_flush_uses_va_not_vpn():
 def test_l2_flush_all():
     tlb = L2Tlb(1024, 4)
     for k in range(64):
-        tlb.insert(k * 16, leaf_pte(0x100 + k))
+        tlb.insert(k * 16, encode_pte(leaf_pte(0x100 + k)))
     tlb.flush_all()
     assert tlb.occupancy() == 0
     tlb.flush_all()  # idempotent
@@ -181,7 +181,7 @@ def test_l2_sixteen_way_reach_with_4k_pages():
     # 64 sets leaves 16 pages per set, one per way
     tlb = L2Tlb(1024, 16)
     for vpn in range(1024):
-        tlb.insert(vpn, leaf_pte(0x1000 + vpn))
+        tlb.insert(vpn, encode_pte(leaf_pte(0x1000 + vpn)))
     assert tlb.occupancy() == 1024
     for vpn in range(1024):
         assert tlb.lookup(vpn) == (0x1000 + vpn, 0b011)
@@ -204,7 +204,7 @@ def test_l2_four_way_conflict_ceiling():
     tlb = L2Tlb(1024, 4)
     stride = 16 * 256
     for vpn in range(0, 8 * stride, stride):
-        tlb.insert(vpn, leaf_pte(vpn))
+        tlb.insert(vpn, encode_pte(leaf_pte(vpn)))
     hits = sum(tlb.lookup(vpn) is not None for vpn in range(0, 8 * stride, stride))
     assert hits == 4
 
@@ -214,7 +214,7 @@ def test_l2_random_replacement_is_seeded():
     def run(seed):
         tlb = L2Tlb(1024, 4, replacement="random", seed=seed)
         for vpn, ppn in ops:
-            tlb.insert(vpn, leaf_pte(ppn))
+            tlb.insert(vpn, encode_pte(leaf_pte(ppn)))
         return tlb.dump()
     assert run(1) == run(1)
     assert run(1) != run(2)  # different victims somewhere in 28 evictions

@@ -25,7 +25,6 @@ from .errors import (
 from .pagetable import (
     PtwCache,
     RegionSpec,
-    SimPhysMem,
     WalkResult,
     build_page_tables,
     walk,

@@ -1,6 +1,7 @@
 """Command-line front end: run sweeps, export traces, validate configs."""
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -16,7 +17,7 @@ from .sweep import (
     parse_size,
     run_sweep,
 )
-from .workloads import PATTERNS, WorkloadSpec, gen_trace, write_trace
+from .workloads import PATTERNS, WorkloadSpec, gen_trace, make_regions, write_trace
 
 
 def _build_parser():
@@ -59,6 +60,17 @@ def _build_parser():
     return parser
 
 
+def _check_out_path(path):
+    """Reject an output path that cannot be written, before any work starts."""
+    if not path:
+        raise ConfigError("output path is empty")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory")
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output path {path}: no directory {directory}")
+
+
 def _cmd_run(args):
     if args.config:
         config = load_config(args.config)
@@ -71,6 +83,9 @@ def _cmd_run(args):
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     out_path = args.out if args.out else config.out_path
+    _check_out_path(out_path)
+    if args.plotdata:
+        _check_out_path(args.plotdata)
     started = time.monotonic()
     rows = run_sweep(config, jobs=args.jobs)
     elapsed = time.monotonic() - started
@@ -92,6 +107,9 @@ def _cmd_gen_trace(args):
     spec = WorkloadSpec(
         chunk, args.pattern, seed=args.seed, measured_accesses=args.accesses
     )
+    # the chunk must fit in a region run would map: canonical and aligned
+    make_regions(spec, base_va, 0)
+    _check_out_path(args.out)
     trace = gen_trace(spec, base_va)
     write_trace(trace, args.out)
     total = len(trace.warmup) + len(trace.measurement)

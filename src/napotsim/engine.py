@@ -105,8 +105,7 @@ class Simulation:
         latency=None,
         flush_ptw_between_phases=False,
     ):
-        self.regions = list(regions)
-        self.mem, self.root_ppn = build_page_tables(self.regions)
+        self.mem, self.root_ppn = build_page_tables(regions)
         self.l1 = L1Dtlb(l1_entries)
         self.l2 = L2Tlb(l2_entries, ways, replacement, seed)
         self.ptw_cache = PtwCache(ptw_cache_entries)
@@ -134,7 +133,7 @@ class Simulation:
         else:
             path = WALK
         # every path leaves the page at the L1's MRU end
-        ppn = self.l1.entries[(va >> PAGE_SHIFT) & VPN_MASK][0]
+        ppn = self.l1.entries[(va >> PAGE_SHIFT) & VPN_MASK]
         return TranslationOutcome(
             (ppn << PAGE_SHIFT) | (va & OFFSET_MASK),
             path,
@@ -183,18 +182,17 @@ class Simulation:
                 l1_move(vpn)
                 l1_hits += 1
                 continue
-            result = l2_lookup(vpn)
-            if result is not None:
+            ppn = l2_lookup(vpn)
+            if ppn is not None:
                 l2_hits += 1
-                l1_insert(vpn, result[0], result[1])
+                l1_insert(vpn, ppn)
                 continue
             result = walk(root_ppn, mem, ptw_cache, va)
             if result.faulted:
                 raise UnmappedAccessError(f"no mapping behind va {va:#x}")
             walks += 1
             walk_reads += result.memory_reads
-            ppn, perms = l2_insert(vpn, result.pte)
-            l1_insert(vpn, ppn, perms)
+            l1_insert(vpn, l2_insert(vpn, result.pte))
         total = len(addresses)
         l1_misses = total - l1_hits
         latency = self.latency

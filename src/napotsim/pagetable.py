@@ -1,10 +1,12 @@
 """Synthetic sv39 page tables in simulated physical memory, plus the walker.
 
-build_page_tables lays out a three-level radix tree of raw 64-bit PTE words
-for a list of mapped regions. 4KB regions get one level-0 leaf per page;
-64KB regions get 16 identical NAPOT leaves per group, since every slot of a
-group must carry the marked entry. walk traverses the tree through a small
-LRU cache of non-leaf PTEs and reports how many memory reads it cost.
+Simulated memory is a plain dict from the byte address of each 64-bit word
+to that word; unwritten words read as zero. build_page_tables lays out a
+three-level radix tree of raw PTE words in it for a list of mapped regions.
+4KB regions get one level-0 leaf per page; 64KB regions get 16 identical
+NAPOT leaves per group, since every slot of a group must carry the marked
+entry. walk traverses the tree through a small LRU cache of non-leaf PTEs
+and reports how many memory reads it cost.
 """
 
 from collections import OrderedDict
@@ -88,28 +90,6 @@ def validate_regions(regions):
     return ordered
 
 
-class SimPhysMem:
-    """Sparse word-addressed memory; unwritten words read as zero."""
-
-    def __init__(self):
-        self._words = {}
-        self.read_count = 0
-
-    def read64(self, pa):
-        self.read_count += 1
-        return self._words.get(pa, 0)
-
-    def write64(self, pa, value):
-        self._words[pa] = value & 0xFFFFFFFFFFFFFFFF
-
-    def peek(self, pa):
-        """Read without touching read_count; for inspection only."""
-        return self._words.get(pa, 0)
-
-    def __len__(self):
-        return len(self._words)
-
-
 class PtwCache:
     """Fully associative LRU cache of raw non-leaf PTEs under int keys.
 
@@ -175,12 +155,12 @@ def build_page_tables(regions):
     Tables take the frames of table_frames(regions) in order: the root, then
     each table when the first page under it is mapped. Leaves are R+W.
     """
+    regions = validate_regions(regions)
     alloc = iter(table_frames(regions)).__next__
-    mem = SimPhysMem()
-    write64 = mem.write64
+    mem = {}
     root = alloc()
     tables = {}  # walk-cache key of each pointer -> the table it points to
-    for region in validate_regions(regions):
+    for region in regions:
         base_vpn = (region.base_va >> PAGE_SHIFT) & VPN_MASK
         napot = region.page_size == PageSize.PAGE_64K
         leaf_flags = PTE_V | PTE_R | PTE_W | (PTE_N if napot else 0)
@@ -195,9 +175,9 @@ def build_page_tables(regions):
                     key = ((vpn >> shift) << 2) | level
                     if key not in tables:
                         tables[key] = alloc()
-                        write64(
-                            (table << PAGE_SHIFT) | (((vpn >> shift) & LEVEL_MASK) << 3),
-                            (tables[key] << PTE_PPN_SHIFT) | PTE_V,
+                        slot = ((vpn >> shift) & LEVEL_MASK) << 3
+                        mem[(table << PAGE_SHIFT) | slot] = (
+                            (tables[key] << PTE_PPN_SHIFT) | PTE_V
                         )
                     table = tables[key]
             if napot:
@@ -205,9 +185,8 @@ def build_page_tables(regions):
                 ppn = (region.base_ppn + (i & ~NAPOT_OFFSET_MASK)) | NAPOT_PPN_PATTERN
             else:
                 ppn = region.base_ppn + i
-            write64(
-                (table << PAGE_SHIFT) | ((vpn & LEVEL_MASK) << 3),
-                (ppn << PTE_PPN_SHIFT) | leaf_flags,
+            mem[(table << PAGE_SHIFT) | ((vpn & LEVEL_MASK) << 3)] = (
+                (ppn << PTE_PPN_SHIFT) | leaf_flags
             )
     return mem, root
 
@@ -239,7 +218,7 @@ def walk(root_ppn, mem, cache, va):
     reads = 0
     while True:
         shift = 9 * level
-        pte = mem.read64((table << PAGE_SHIFT) | (((vpn >> shift) & LEVEL_MASK) << 3))
+        pte = mem.get((table << PAGE_SHIFT) | (((vpn >> shift) & LEVEL_MASK) << 3), 0)
         reads += 1
         if pte & PTE_N:
             check_napot_shape(pte, level)

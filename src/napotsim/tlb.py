@@ -6,9 +6,9 @@ both page sizes. Each entry carries an N bit: an N=1 entry matches on VPN
 bits 26:4 alone and yields its PPN with the low nibble replaced by the VA's
 NAPOT offset, so one entry covers the whole 64KB group.
 
-Inside a set, entries live in an OrderedDict from oldest to newest. Keys put
-the two entry kinds in disjoint namespaces: vpn << 1 for a 4KB entry,
-(vpn >> 4) << 1 | 1 for a NAPOT entry.
+Inside a set, entries live in an OrderedDict from oldest to newest, each
+mapping a key to the entry's PPN. Keys put the two entry kinds in disjoint
+namespaces: vpn << 1 for a 4KB entry, (vpn >> 4) << 1 | 1 for a NAPOT entry.
 """
 
 import random
@@ -46,7 +46,6 @@ class L2Tlb:
             raise ValueError(f"set count {sets} is not a power of two")
         if replacement not in REPLACEMENT_POLICIES:
             raise ValueError(f"unknown replacement policy {replacement!r}")
-        self.capacity = entries
         self.ways = ways
         self.sets = sets
         self.set_mask = sets - 1
@@ -55,7 +54,7 @@ class L2Tlb:
         self._sets = [OrderedDict() for _ in range(sets)]
 
     def lookup(self, vpn):
-        """Return (final 4KB ppn, perm bits) on hit, None on miss.
+        """Return the final 4KB ppn on hit, None on miss (frame 0 is a hit).
 
         Tries an exact 4KB entry first, then the NAPOT entry for the VPN's
         group. insert() guarantees a NAPOT entry's PPN carries the 0b1000
@@ -64,22 +63,22 @@ class L2Tlb:
         """
         entries = self._sets[(vpn >> NAPOT_SHIFT) & self.set_mask]
         key = vpn << 1
-        hit = entries.get(key)
-        if hit is not None:
+        ppn = entries.get(key)
+        if ppn is not None:
             entries.move_to_end(key)
-            return hit[1], hit[2]
+            return ppn
         key = ((vpn >> NAPOT_SHIFT) << 1) | 1
-        hit = entries.get(key)
-        if hit is not None:
+        ppn = entries.get(key)
+        if ppn is not None:
             entries.move_to_end(key)
-            return (hit[1] & ~NAPOT_OFFSET_MASK) | (vpn & NAPOT_OFFSET_MASK), hit[2]
+            return (ppn & ~NAPOT_OFFSET_MASK) | (vpn & NAPOT_OFFSET_MASK)
         return None
 
     def insert(self, vpn, pte):
         """Install the raw leaf PTE for vpn, evicting per policy if the set is full.
 
-        Returns (final 4KB ppn, perm bits) for vpn, the same pair lookup()
-        would return for it. Reinstalling a resident translation refreshes it
+        Returns the final 4KB ppn for vpn, the same one lookup() would
+        return for it. Reinstalling a resident translation refreshes it
         in place instead of consuming another way.
         """
         if not pte & PTE_V or not pte & PTE_RWX:
@@ -101,9 +100,8 @@ class L2Tlb:
             else:
                 victim = list(entries)[self._rng.randrange(len(entries))]
                 del entries[victim]
-        perms = (pte & PTE_RWX) >> 1
-        entries[key] = (vpn, entry_ppn, perms)
-        return ppn, perms
+        entries[key] = entry_ppn
+        return ppn
 
     def flush(self, va):
         """Invalidate the whole set va indexes, regardless of page size."""
@@ -118,13 +116,15 @@ class L2Tlb:
         return sum(len(entries) for entries in self._sets)
 
     def dump(self):
-        """Occupied sets as {index: [(vpn tag, ppn, perms, napot), ...]}, LRU first."""
+        """Occupied sets as {index: [(tag, ppn, napot), ...]}, LRU first.
+
+        The tag is the VPN of a 4KB entry and VPN bits 26:4 of a NAPOT one.
+        """
         out = {}
         for index, entries in enumerate(self._sets):
             if entries:
                 out[index] = [
-                    (tag, ppn, perms, bool(key & 1))
-                    for key, (tag, ppn, perms) in entries.items()
+                    (key >> 1, ppn, bool(key & 1)) for key, ppn in entries.items()
                 ]
         return out
 
@@ -136,7 +136,7 @@ class L1Dtlb:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        # vpn -> (ppn, perm bits), oldest first; engine hot loop reads this
+        # vpn -> ppn, oldest first; engine hot loop reads this
         self.entries = OrderedDict()
 
     def lookup(self, vpn):
@@ -145,15 +145,13 @@ class L1Dtlb:
             self.entries.move_to_end(vpn)
         return hit
 
-    def insert(self, vpn, ppn, perms=0):
+    def insert(self, vpn, ppn):
         entries = self.entries
         if vpn in entries:
-            entries[vpn] = (ppn, perms)
             entries.move_to_end(vpn)
-            return
-        if len(entries) >= self.capacity:
+        elif len(entries) >= self.capacity:
             entries.popitem(last=False)
-        entries[vpn] = (ppn, perms)
+        entries[vpn] = ppn
 
     def flush_all(self):
         self.entries.clear()

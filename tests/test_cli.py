@@ -123,18 +123,31 @@ base_ppn = 0xFFFFFFFFFF0
         ("run", SMALL_INI, ["--seed", "-1"], "seed:"),
         ("run", OVERFLOW_INI, [], "page-table frame 0x100000000000"),
         ("validate", OVERFLOW_INI, [], "page-table frame 0x100000000000"),
+        ("run", SMALL_INI, ["--out", "missing/dir/r.csv"], "no directory missing/dir"),
+        ("run", SMALL_INI, ["--plotdata", "missing/dir/p.json"],
+         "no directory missing/dir"),
+        ("run", SMALL_INI, ["--out", "."], "output path . is a directory"),
+        ("run", SMALL_INI.replace("[sweep]", "[sweep]\nout ="), [],
+         "output path is empty"),
     ],
     ids=["directory", "bad-sweep-value", "negative-seed", "table-frame-overflow",
-         "validate-table-frame-overflow"],
+         "validate-table-frame-overflow", "missing-out-dir", "missing-plotdata-dir",
+         "out-is-directory", "empty-config-out"],
 )
-def test_run_rejects_bad_input(tmp_path, capsys, command, text, extra, message):
+def test_run_rejects_bad_input(tmp_path, capsys, monkeypatch, command, text, extra,
+                               message):
+    def no_sweep(config, jobs=1):
+        raise AssertionError("the sweep started before the input was checked")
+
+    monkeypatch.setattr("napotsim.cli.run_sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
     config = tmp_path
     if text is not None:
         config = tmp_path / "exp.ini"
         config.write_text(text)
     argv = [command, "--config", str(config)]
-    if command == "run":
-        argv += ["--out", str(tmp_path / "r.csv")]
+    if command == "run" and "out =" not in (text or ""):
+        argv += ["--out", str(tmp_path / "r.csv")]  # a later --out wins
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
@@ -205,10 +218,28 @@ def test_gen_trace_custom_base(tmp_path):
     assert "0x80000000" in out.read_text()
 
 
-def test_gen_trace_rejects_bad_chunk(tmp_path, capsys):
-    assert main(["gen-trace", "--pattern", "linear", "--chunk-bytes", "3K",
-                 "--out", str(tmp_path / "t.txt")]) == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--chunk-bytes", "3K"], "must be a power of two"),
+        # the chunk's last page lies past the top of the canonical low half
+        (["--chunk-bytes", "8K", "--base-va", "0x3FFFFFF000"],
+         "va 0x4000000fff is not a canonical"),
+        (["--chunk-bytes", "8K", "--base-va", "0x1001"], "not aligned to 4096"),
+        (["--chunk-bytes", "4K", "--out", "missing/t.txt"], "no directory missing"),
+    ],
+    ids=["odd-chunk", "past-canonical-top", "unaligned-base", "missing-out-dir"],
+)
+def test_gen_trace_rejects_bad_chunk(tmp_path, capsys, monkeypatch, extra, message):
+    def no_trace(spec, base_va):
+        raise AssertionError("the trace was generated before the input was checked")
+
+    monkeypatch.setattr("napotsim.cli.gen_trace", no_trace)
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-trace", "--pattern", "linear", "--out", "t.txt"] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "t.txt").exists()
 
 
 def test_unknown_command_exits_with_usage():

@@ -23,7 +23,6 @@ from napotsim.errors import (
 from napotsim.pagetable import (
     PtwCache,
     RegionSpec,
-    SimPhysMem,
     build_page_tables,
     table_frames,
     validate_regions,
@@ -60,17 +59,27 @@ def expected_frame(region, va):
     return region.base_ppn + (va - region.base_va) // KB4
 
 
+class CountingMem(dict):
+    """Simulated memory that counts the reads the walker makes."""
+
+    reads = 0
+
+    def get(self, addr, default=None):
+        self.reads += 1
+        return super().get(addr, default)
+
+
 def count_table_pages(mem, root):
-    """Structural reader: count reachable table frames via peek only."""
+    """Structural reader: count reachable table frames."""
     frames = {root}
     for slot2 in range(512):
-        raw2 = mem.peek((root << 12) | (slot2 << 3))
+        raw2 = mem.get((root << 12) | (slot2 << 3), 0)
         if not raw2 & 1:
             continue
         pte2 = decode_pte(raw2, level=2)
         frames.add(pte2.ppn)
         for slot1 in range(512):
-            raw1 = mem.peek((pte2.ppn << 12) | (slot1 << 3))
+            raw1 = mem.get((pte2.ppn << 12) | (slot1 << 3), 0)
             if not raw1 & 1:
                 continue
             pte1 = decode_pte(raw1, level=1)
@@ -79,13 +88,13 @@ def count_table_pages(mem, root):
 
 
 def read_leaf(mem, root, va):
-    """Follow the tree by hand (peek only) down to the raw leaf."""
+    """Follow the tree by hand down to the raw leaf."""
     vpn = (va >> 12) & ((1 << 27) - 1)
-    raw = mem.peek((root << 12) | ((vpn >> 18) << 3))
+    raw = mem.get((root << 12) | ((vpn >> 18) << 3), 0)
     pte2 = decode_pte(raw, level=2)
-    raw = mem.peek((pte2.ppn << 12) | (((vpn >> 9) & 511) << 3))
+    raw = mem.get((pte2.ppn << 12) | (((vpn >> 9) & 511) << 3), 0)
     pte1 = decode_pte(raw, level=1)
-    raw = mem.peek((pte1.ppn << 12) | ((vpn & 511) << 3))
+    raw = mem.get((pte1.ppn << 12) | ((vpn & 511) << 3), 0)
     return decode_pte(raw, level=0)
 
 
@@ -128,6 +137,7 @@ def test_build_single_4k_region():
     mem, root = build_page_tables([region])
     assert count_table_pages(mem, root) == expected_table_pages([region]) == 3
     assert table_frames([region]) == range(0x1001, 0x1004)
+    assert len(mem) == 3  # two pointers and one leaf
     leaf = read_leaf(mem, root, 0)
     assert leaf.valid and leaf.is_leaf and not leaf.n_bit
     assert leaf.ppn == 0x1000
@@ -192,6 +202,7 @@ def test_tables_allocated_above_region_frames():
 def test_walk_read_counts():
     region = RegionSpec(0x4000_0000, 4 << 20, PageSize.PAGE_4K, 0x10000)
     mem, root = build_page_tables([region])
+    mem = CountingMem(mem)
     cache = PtwCache()
     va = 0x4000_0000
 
@@ -207,7 +218,7 @@ def test_walk_read_counts():
     result = walk(root, mem, cache, va + MB2)
     assert result.memory_reads == 2 and result.cache_hits == 1
 
-    assert mem.read_count == 6
+    assert mem.reads == 6
 
 
 def test_walk_translates_correctly():
@@ -288,9 +299,7 @@ TO_L1, TO_L0 = ptr_word(2), ptr_word(3)
 def test_walk_on_hand_written_tree(words, outcome):
     # root in frame 1, level-1 table in frame 2, level-0 table in frame 3;
     # va 0 uses slot 0 of each
-    mem = SimPhysMem()
-    for frame, word in enumerate(words, start=1):
-        mem.write64(frame << 12, word)
+    mem = {frame << 12: word for frame, word in enumerate(words, start=1)}
     first, second = outcome
     if isinstance(first, type):
         with pytest.raises(first, match=second):
@@ -354,17 +363,6 @@ def test_ptw_cache_levels_do_not_collide():
         result = walk(root, mem, cache, second.base_va)
         assert result.memory_reads == 3 and result.cache_hits == 0
         assert decode_pte(result.pte).ppn == second.base_ppn
-
-
-def test_phys_mem_read_accounting():
-    mem = SimPhysMem()
-    mem.write64(0x1000, 42)
-    assert mem.peek(0x1000) == 42
-    assert mem.read_count == 0
-    assert mem.read64(0x1000) == 42
-    assert mem.read64(0x2000) == 0  # unwritten reads as zero
-    assert mem.read_count == 2
-    assert len(mem) == 1
 
 
 def test_walk_deterministic():

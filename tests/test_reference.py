@@ -7,7 +7,9 @@ change to any of them that moves a PA, a path, a cycle or a counter shows
 up here. The cases cover what the default grid never produces: several
 regions mixing 4KB and 64KB pages in one Simulation (so both entry kinds
 share L2 sets), upper-half canonical VAs, and L1, L2 and walk-cache sizes
-down to one entry. Replacement is LRU throughout.
+down to one entry. Replacement is LRU throughout. A region in slot 0 maps
+from frame 0, which the TLBs must treat as a hit like any other frame; the
+test checks that each path meets frame 0 at both page sizes.
 """
 
 import random
@@ -119,10 +121,13 @@ def random_case(rng):
         napot = n == 0 or (n > 1 and rng.random() < 0.5)
         size = PageSize.PAGE_64K if napot else PageSize.PAGE_4K
         pages = 16 * rng.randint(1, 8) if napot else rng.randint(1, 128)
-        base_ppn = 0x10_0000 + slot * 0x1000
+        # frames slot * 0x1000 onward: a region in slot 0 maps from frame 0
+        base_ppn = slot * 0x1000
         regions.append(RegionSpec(SLOTS[slot], pages << 12, size, base_ppn))
     pages = [r.base_va + (p << 12) for r in regions for p in range(r.num_pages)]
     hot = rng.sample(pages, min(len(pages), rng.randint(1, 40)))
+    # keep frame 0 hot, so that every path meets it
+    hot += [r.base_va for r in regions if r.base_ppn == 0]
 
     def draw(n):
         return [
@@ -156,9 +161,16 @@ def make_sim(regions, geometry):
 
 def test_engine_matches_reference_translator():
     rng = random.Random(2406)
+    frame0 = set()  # (path, page size) of accesses that reached frame 0
     for trial in range(60):
         regions, phases, geometry = random_case(rng)
         outcomes, counters = reference_run(regions, phases, **geometry)
+        for region in regions:
+            if region.base_ppn == 0:
+                frame0.update(
+                    (path, region.page_size)
+                    for pa, path, _ in outcomes if pa >> 12 == 0
+                )
         stepped = make_sim(regions, geometry)
         got = []
         for phase, addresses in zip(("warmup", "measurement"), phases):
@@ -173,3 +185,6 @@ def test_engine_matches_reference_translator():
         for name, want in zip(("warmup", "measurement"), counters):
             assert asdict(stats.phase(name)) == want, f"trial {trial}, {name}"
             assert asdict(stepped.stats.phase(name)) == want, f"trial {trial}"
+    assert frame0 == {
+        (path, size) for path in (L1_HIT, L2_HIT, WALK) for size in PageSize.ALL
+    }

@@ -67,8 +67,8 @@ def test_l2_miss_on_empty():
 
 def test_l2_4k_entry_exact_match():
     tlb = L2Tlb()
-    assert tlb.insert(0x1230, encode_pte(leaf_pte(0x200))) == (0x200, 0b011)
-    assert tlb.lookup(0x1230) == (0x200, 0b011)
+    assert tlb.insert(0x1230, encode_pte(leaf_pte(0x200))) == 0x200
+    assert tlb.lookup(0x1230) == 0x200
     # same group, different page: a 4KB entry does not cover neighbors
     assert tlb.lookup(0x1231) is None
     assert tlb.occupancy() == 1
@@ -77,10 +77,10 @@ def test_l2_4k_entry_exact_match():
 def test_l2_napot_entry_covers_group():
     tlb = L2Tlb()
     # insert hands back the translation of the VPN it was given
-    assert tlb.insert(0x1235, napot_pte(0x80010)) == (0x80015, 0b011)
+    assert tlb.insert(0x1235, napot_pte(0x80010)) == 0x80015
     frames = {k: 0x80010 + k for k in range(16)}
     for k in range(16):
-        assert tlb.lookup(0x1230 | k) == (frames[k], 0b011)
+        assert tlb.lookup(0x1230 | k) == frames[k]
     assert tlb.lookup(0x1240) is None  # next group
     assert tlb.occupancy() == 1
 
@@ -89,8 +89,8 @@ def test_l2_4k_entry_wins_before_napot_probe():
     tlb = L2Tlb()
     tlb.insert(0x1230, napot_pte(0x80010))
     tlb.insert(0x1231, encode_pte(leaf_pte(0x999)))
-    assert tlb.lookup(0x1231) == (0x999, 0b011)
-    assert tlb.lookup(0x1232) == (0x80012, 0b011)
+    assert tlb.lookup(0x1231) == 0x999
+    assert tlb.lookup(0x1232) == 0x80012
 
 
 def test_l2_insert_rejects_bad_entries():
@@ -109,7 +109,7 @@ def test_l2_lru_eviction_within_set():
         tlb.insert(vpn, encode_pte(leaf_pte(0x100 + vpn)))
     assert tlb.lookup(vpns[0]) is None
     for vpn in vpns[1:]:
-        assert tlb.lookup(vpn) == (0x100 + vpn, 0b011)
+        assert tlb.lookup(vpn) == 0x100 + vpn
     assert tlb.occupancy() == 4
 
 
@@ -157,7 +157,7 @@ def test_l2_flush_clears_whole_set():
     tlb.flush(0x0)  # va 0 indexes set 0
     assert tlb.lookup(0x0) is None
     assert tlb.lookup(16 * 256) is None
-    assert tlb.lookup(16) == (0x300, 0b011)
+    assert tlb.lookup(16) == 0x300
 
 
 def test_l2_flush_uses_va_not_vpn():
@@ -184,7 +184,7 @@ def test_l2_sixteen_way_reach_with_4k_pages():
         tlb.insert(vpn, encode_pte(leaf_pte(0x1000 + vpn)))
     assert tlb.occupancy() == 1024
     for vpn in range(1024):
-        assert tlb.lookup(vpn) == (0x1000 + vpn, 0b011)
+        assert tlb.lookup(vpn) == 0x1000 + vpn
 
 
 def test_l2_sixteen_way_reach_with_napot_pages():
@@ -195,7 +195,7 @@ def test_l2_sixteen_way_reach_with_napot_pages():
     assert tlb.occupancy() == 1024
     for group in range(1024):
         vpn = group * 16 + (group % 16)
-        assert tlb.lookup(vpn) == (0x10000 + vpn, 0b011)
+        assert tlb.lookup(vpn) == 0x10000 + vpn
 
 
 def test_l2_four_way_conflict_ceiling():
@@ -223,8 +223,8 @@ def test_l2_random_replacement_is_seeded():
 def test_l1_hit_and_miss():
     tlb = L1Dtlb()
     assert tlb.lookup(5) is None
-    tlb.insert(5, 0x50, 0b011)
-    assert tlb.lookup(5) == (0x50, 0b011)
+    tlb.insert(5, 0x50)
+    assert tlb.lookup(5) == 0x50
     assert tlb.lookup(6) is None
 
 
@@ -233,7 +233,7 @@ def test_l1_lru_eviction():
     for vpn in range(33):
         tlb.insert(vpn, vpn)
     assert tlb.lookup(0) is None
-    assert tlb.lookup(1) == (1, 0)
+    assert tlb.lookup(1) == 1
     assert len(tlb) == 32
 
 

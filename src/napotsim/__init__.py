@@ -52,8 +52,6 @@ from .tlb import L1Dtlb, L2Tlb, l2_index
 from .workloads import (
     AccessTrace,
     WorkloadSpec,
-    gen_linear,
-    gen_random,
     gen_trace,
     make_regions,
     read_trace,

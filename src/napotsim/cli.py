@@ -86,6 +86,8 @@ def _cmd_run(args):
     _check_out_path(out_path)
     if args.plotdata:
         _check_out_path(args.plotdata)
+        if os.path.realpath(args.plotdata) == os.path.realpath(out_path):
+            raise ConfigError(f"--plotdata {args.plotdata} is also the CSV output")
     started = time.monotonic()
     rows = run_sweep(config, jobs=args.jobs)
     elapsed = time.monotonic() - started

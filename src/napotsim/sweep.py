@@ -12,12 +12,13 @@ import configparser
 import itertools
 import json
 import math
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .engine import MEASUREMENT, WARMUP, LatencyModel, Simulation
+from .engine import MEASUREMENT, PHASES, WARMUP, LatencyModel, PhaseStats, Simulation
 from .errors import ConfigError
 from .pagetable import PTW_CACHE_ENTRIES, PtwCache, table_frames
 from .sv39 import PageSize, check_canonical
@@ -31,21 +32,13 @@ from .workloads import (
     make_regions,
 )
 
-CSV_COLUMNS = (
-    "config_id",
-    "pattern",
-    "chunk_bytes",
-    "phase",
-    "accesses",
-    "l1_hits",
-    "l1_misses",
-    "l2_hits",
-    "l2_misses",
-    "walks",
-    "walk_memory_reads",
-    "total_cycles",
+# one CSV row: the cell's key, then PhaseStats' counters in field order
+ResultRow = namedtuple(
+    "ResultRow",
+    ("config_id", "pattern", "chunk_bytes", "phase")
+    + tuple(f.name for f in fields(PhaseStats)),
 )
-CSV_HEADER = ",".join(CSV_COLUMNS)
+CSV_HEADER = ",".join(ResultRow._fields)
 
 DEFAULT_BASE_VA = 0x4000_0000
 DEFAULT_BASE_PPN = 0x10_0000
@@ -134,6 +127,8 @@ class ExperimentConfig:
             try:
                 L2Tlb(self.l2_entries, cfg.ways, self.replacement)
                 for pattern in cfg.patterns:
+                    if cfg.patterns.count(pattern) > 1:
+                        raise ValueError(f"pattern {pattern!r} listed twice")
                     spec = WorkloadSpec(self.chunk_max_bytes, pattern, cfg.page_size)
                 # the largest chunk's region and tables cover every smaller one's
                 table_frames(make_regions(spec, self.base_va, self.base_ppn))
@@ -165,59 +160,14 @@ def cell_seed(seed, pattern, chunk_bytes):
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    config_id: int
-    pattern: str
-    chunk_bytes: int
-    phase: str
-    accesses: int
-    l1_hits: int
-    l1_misses: int
-    l2_hits: int
-    l2_misses: int
-    walks: int
-    walk_memory_reads: int
-    total_cycles: int
-
-    @classmethod
-    def from_stats(cls, config_id, pattern, chunk_bytes, phase, stats):
-        return cls(
-            config_id,
-            pattern,
-            chunk_bytes,
-            phase,
-            stats.accesses,
-            stats.l1_hits,
-            stats.l1_misses,
-            stats.l2_hits,
-            stats.l2_misses,
-            stats.walks,
-            stats.walk_memory_reads,
-            stats.total_cycles,
-        )
-
-    def to_csv(self):
-        return ",".join(
-            str(getattr(self, column)) for column in CSV_COLUMNS
-        )
-
-
 def _sort_key(row):
     return (row.config_id, row.pattern, row.chunk_bytes, row.phase != WARMUP)
 
 
-def run_cell(config, tlb, pattern, chunk_bytes, trace=None):
-    """Run one cell; returns its warm-up and measurement rows."""
-    spec = WorkloadSpec(
-        chunk_bytes,
-        pattern,
-        tlb.page_size,
-        seed=cell_seed(config.seed, pattern, chunk_bytes),
-        measured_accesses=config.measured_accesses,
-    )
-    if trace is None:
-        trace = gen_trace(spec, config.base_va)
+def run_cell(config, tlb, pattern, chunk_bytes, trace):
+    """Run one cell on its grid point's trace; returns its warm-up and
+    measurement rows."""
+    spec = WorkloadSpec(chunk_bytes, pattern, tlb.page_size)
     regions = make_regions(spec, config.base_va, config.base_ppn)
     sim = Simulation(
         regions,
@@ -232,12 +182,9 @@ def run_cell(config, tlb, pattern, chunk_bytes, trace=None):
     )
     stats = sim.run_trace(trace)
     return [
-        ResultRow.from_stats(
-            tlb.config_id, pattern, chunk_bytes, WARMUP, stats.warmup
-        ),
-        ResultRow.from_stats(
-            tlb.config_id, pattern, chunk_bytes, MEASUREMENT, stats.measurement
-        ),
+        ResultRow(tlb.config_id, pattern, chunk_bytes, phase,
+                  *astuple(stats.phase(phase)))
+        for phase in PHASES
     ]
 
 
@@ -252,7 +199,7 @@ def _run_point(config, pattern, chunk_bytes, tlbs):
     trace = gen_trace(spec, config.base_va)
     rows = []
     for tlb in tlbs:
-        rows.extend(run_cell(config, tlb, pattern, chunk_bytes, trace=trace))
+        rows.extend(run_cell(config, tlb, pattern, chunk_bytes, trace))
     return rows
 
 
@@ -286,7 +233,7 @@ def emit_csv(rows, path):
     with open(path, "w", newline="") as f:
         f.write(CSV_HEADER + "\n")
         for row in rows:
-            f.write(row.to_csv() + "\n")
+            f.write(",".join(map(str, row)) + "\n")
 
 
 def emit_plotdata(rows, path):

@@ -42,6 +42,8 @@ class WorkloadSpec:
             )
         if self.measured_accesses < 0:
             raise ValueError("measured_accesses must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     @property
     def num_pages(self):
@@ -54,36 +56,21 @@ class AccessTrace:
     measurement: list
 
 
-def _warmup_pass(spec, base_va):
-    return list(range(base_va, base_va + spec.chunk_bytes, PAGE_BYTES))
-
-
-def gen_linear(spec, base_va):
-    """Warm-up pass, then the measured accesses striding the chunk cyclically."""
-    if spec.pattern != "linear":
-        raise ValueError(f"spec pattern is {spec.pattern!r}, not linear")
-    pages = _warmup_pass(spec, base_va)
-    measurement = list(
-        itertools.islice(itertools.cycle(pages), spec.measured_accesses)
-    )
-    return AccessTrace(pages, measurement)
-
-
-def gen_random(spec, base_va):
-    """Warm-up pass, then uniform random page picks from a Philox stream."""
-    if spec.pattern != "random":
-        raise ValueError(f"spec pattern is {spec.pattern!r}, not random")
-    warmup = _warmup_pass(spec, base_va)
-    rng = np.random.Generator(np.random.Philox(spec.seed))
-    picks = rng.integers(0, spec.num_pages, size=spec.measured_accesses)
-    vas = (picks.astype(np.uint64) << np.uint64(PAGE_SHIFT)) + np.uint64(base_va)
-    return AccessTrace(warmup, vas.tolist())
-
-
 def gen_trace(spec, base_va):
+    """Warm-up pass over the chunk, then the measured accesses: the pass
+    repeated cyclically (linear) or uniform page picks from a Philox stream
+    (random)."""
+    warmup = list(range(base_va, base_va + spec.chunk_bytes, PAGE_BYTES))
     if spec.pattern == "linear":
-        return gen_linear(spec, base_va)
-    return gen_random(spec, base_va)
+        measurement = list(
+            itertools.islice(itertools.cycle(warmup), spec.measured_accesses)
+        )
+    else:
+        rng = np.random.Generator(np.random.Philox(spec.seed))
+        picks = rng.integers(0, spec.num_pages, size=spec.measured_accesses)
+        vas = (picks.astype(np.uint64) << np.uint64(PAGE_SHIFT)) + np.uint64(base_va)
+        measurement = vas.tolist()
+    return AccessTrace(warmup, measurement)
 
 
 def make_regions(spec, base_va, base_ppn):

@@ -4,7 +4,9 @@ napotbench/inproc.py wraps engine.walk, pagetable.decode_pte, the PtwCache,
 L1Dtlb and L2Tlb methods, and reads memory_reads, cache_hits and faulted off
 walk's result. A renamed or removed name makes its traced sweep fail, and a
 change in what the hot path calls makes its call counts disagree with the
-CSV, which it reports as problems.
+CSV, which it reports as problems. The setup probe builds every cell's
+Simulation through the public names, and the paths probe times the five
+translation paths and reports a path its inputs did not take.
 """
 
 import json
@@ -12,6 +14,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from napotsim import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,20 +34,41 @@ include_warmup = true
 """
 
 
-def test_traced_sweep_matches_csv(tmp_path):
-    ini = tmp_path / "tiny.ini"
-    ini.write_text(TINY_INI)
+def _probe(*args):
+    """Run one napotbench/inproc.py probe; returns the JSON it prints last."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "napotbench" / "inproc.py"), "sweep",
-         "--config", str(ini), "--seed", "0", "--csv", str(tmp_path / "t.csv"),
-         "--spans", str(tmp_path / "spans.json")],
+        [sys.executable, str(ROOT / "napotbench" / "inproc.py"), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture
+def tiny_ini(tmp_path):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_INI)
+    return ini
+
+
+def test_traced_sweep_matches_csv(tmp_path, tiny_ini):
+    doc = _probe("sweep", "--config", str(tiny_ini), "--seed", "0",
+                 "--csv", str(tmp_path / "t.csv"),
+                 "--spans", str(tmp_path / "spans.json"))
     assert doc["problems"] == []
     assert doc["aggregates"]["walk"][0] > 0
+
+
+def test_setup_probe_builds_every_cell(tiny_ini):
+    doc = _probe("setup", "--config", str(tiny_ini), "--seed", "0")
+    assert doc["simulations"] == len(load_config(tiny_ini).cells())
+    assert doc["setup_s"] > 0
+
+
+def test_paths_probe_takes_every_path():
+    doc = _probe("paths")
+    assert doc["problems"] == []

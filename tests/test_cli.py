@@ -129,10 +129,15 @@ base_ppn = 0xFFFFFFFFFF0
         ("run", SMALL_INI, ["--out", "."], "output path . is a directory"),
         ("run", SMALL_INI.replace("[sweep]", "[sweep]\nout ="), [],
          "output path is empty"),
+        ("run", SMALL_INI, ["--out", "r.out", "--plotdata", "./r.out"],
+         "--plotdata ./r.out is also the CSV output"),
+        ("validate", "[configs]\n1 = ways=4, page=4K, patterns=linear+linear\n", [],
+         "config 1: pattern 'linear' listed twice"),
     ],
     ids=["directory", "bad-sweep-value", "negative-seed", "table-frame-overflow",
          "validate-table-frame-overflow", "missing-out-dir", "missing-plotdata-dir",
-         "out-is-directory", "empty-config-out"],
+         "out-is-directory", "empty-config-out", "plotdata-is-out",
+         "validate-repeated-pattern"],
 )
 def test_run_rejects_bad_input(tmp_path, capsys, monkeypatch, command, text, extra,
                                message):
@@ -227,8 +232,12 @@ def test_gen_trace_custom_base(tmp_path):
          "va 0x4000000fff is not a canonical"),
         (["--chunk-bytes", "8K", "--base-va", "0x1001"], "not aligned to 4096"),
         (["--chunk-bytes", "4K", "--out", "missing/t.txt"], "no directory missing"),
+        (["--chunk-bytes", "4K", "--seed", "-5"], "seed must be non-negative"),
+        (["--chunk-bytes", "4K", "--seed", "-5", "--pattern", "random"],
+         "seed must be non-negative"),
     ],
-    ids=["odd-chunk", "past-canonical-top", "unaligned-base", "missing-out-dir"],
+    ids=["odd-chunk", "past-canonical-top", "unaligned-base", "missing-out-dir",
+         "negative-seed-linear", "negative-seed-random"],
 )
 def test_gen_trace_rejects_bad_chunk(tmp_path, capsys, monkeypatch, extra, message):
     def no_trace(spec, base_va):

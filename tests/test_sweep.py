@@ -25,6 +25,7 @@ from napotsim.sweep import (
     run_cell,
     run_sweep,
 )
+from napotsim.workloads import WorkloadSpec, gen_trace
 
 KB4 = 4 << 10
 KB64 = 64 << 10
@@ -110,6 +111,8 @@ REJECTED = [
         chunk_max_bytes=KB4,
         base_ppn=PPN_MASK - 15,
     ), "config 1: page-table frame 0x100000000000"),
+    (dict(configs=(TlbConfig(1, 4, PageSize.PAGE_4K, ("linear", "linear")),)),
+     "config 1: pattern 'linear' listed twice"),
 ]
 
 
@@ -124,7 +127,9 @@ def test_config_validation_rejects(kwargs, message):
 def test_4k_only_grid_needs_only_4k_alignment():
     # 64KB alignment of base_va and base_ppn is asked only of 64KB configs
     config = small_config(base_va=0x1000, base_ppn=0x3).validate()
-    rows = run_cell(config, config.configs[0], "linear", KB4)
+    trace = gen_trace(WorkloadSpec(KB4, "linear", measured_accesses=200),
+                      config.base_va)
+    rows = run_cell(config, config.configs[0], "linear", KB4, trace)
     assert rows[1].l1_hits == 200
     with pytest.raises(ConfigError, match="not aligned"):
         replace(config, configs=DEFAULT_CONFIGS).validate()
@@ -139,7 +144,9 @@ def test_cell_seed_depends_on_pattern_and_chunk_only():
 
 def test_run_cell_emits_both_phases():
     config = small_config()
-    rows = run_cell(config, config.configs[0], "linear", KB4)
+    trace = gen_trace(WorkloadSpec(KB4, "linear", measured_accesses=200),
+                      config.base_va)
+    rows = run_cell(config, config.configs[0], "linear", KB4, trace)
     assert [row.phase for row in rows] == ["warmup", "measurement"]
     assert rows[0].accesses == 1  # one warm-up touch of the single page
     assert rows[1].accesses == 200
@@ -346,9 +353,17 @@ def test_results_identical_across_trace_sharing():
     # a cell run standalone matches the same cell inside a sweep
     config = small_config()
     rows = run_sweep(config)
-    solo = run_cell(config, config.configs[1], "random", 16 << 10)
+    chunk = 16 << 10
+    spec = WorkloadSpec(
+        chunk,
+        "random",
+        seed=cell_seed(config.seed, "random", chunk),
+        measured_accesses=config.measured_accesses,
+    )
+    solo = run_cell(config, config.configs[1], "random", chunk,
+                    gen_trace(spec, config.base_va))
     matching = [
         r for r in rows
-        if r.config_id == 2 and r.pattern == "random" and r.chunk_bytes == 16 << 10
+        if r.config_id == 2 and r.pattern == "random" and r.chunk_bytes == chunk
     ]
     assert matching == solo

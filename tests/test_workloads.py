@@ -11,8 +11,6 @@ from napotsim.sv39 import PageSize
 from napotsim.workloads import (
     AccessTrace,
     WorkloadSpec,
-    gen_linear,
-    gen_random,
     gen_trace,
     make_regions,
     read_trace,
@@ -37,6 +35,9 @@ def test_spec_validation():
         WorkloadSpec(512 << 20, "linear")  # above 256MB
     with pytest.raises(ValueError):
         WorkloadSpec(KB4, "linear", page_size=8192)
+    for pattern in ("linear", "random"):
+        with pytest.raises(ValueError, match="^seed must be non-negative"):
+            WorkloadSpec(KB4, pattern, seed=-5)
 
 
 def test_default_measured_accesses():
@@ -45,7 +46,7 @@ def test_default_measured_accesses():
 
 def test_linear_trace_layout():
     spec = WorkloadSpec(KB64, "linear", measured_accesses=40)
-    trace = gen_linear(spec, BASE)
+    trace = gen_trace(spec, BASE)
     assert trace.warmup == [BASE + p * KB4 for p in range(16)]
     # measurement repeats the same pass cyclically
     assert trace.measurement[:16] == trace.warmup
@@ -54,7 +55,7 @@ def test_linear_trace_layout():
 
 
 def test_linear_default_length():
-    trace = gen_linear(WorkloadSpec(KB64, "linear"), BASE)
+    trace = gen_trace(WorkloadSpec(KB64, "linear"), BASE)
     assert len(trace.measurement) == 1_000_000
 
 
@@ -72,7 +73,7 @@ def test_random_trace_bounds_and_alignment():
         chunk = KB4 << rng.randrange(10)
         spec = WorkloadSpec(chunk, "random", seed=rng.randrange(1000),
                             measured_accesses=500)
-        trace = gen_random(spec, BASE)
+        trace = gen_trace(spec, BASE)
         assert len(trace.measurement) == 500
         for va in trace.measurement:
             assert BASE <= va < BASE + chunk
@@ -81,14 +82,14 @@ def test_random_trace_bounds_and_alignment():
 
 def test_random_trace_seeded_reproducible():
     spec = WorkloadSpec(1 << 20, "random", seed=5, measured_accesses=1000)
-    assert gen_random(spec, BASE).measurement == gen_random(spec, BASE).measurement
+    assert gen_trace(spec, BASE).measurement == gen_trace(spec, BASE).measurement
     other = WorkloadSpec(1 << 20, "random", seed=6, measured_accesses=1000)
-    assert gen_random(spec, BASE).measurement != gen_random(other, BASE).measurement
+    assert gen_trace(spec, BASE).measurement != gen_trace(other, BASE).measurement
 
 
 def test_random_trace_single_page_chunk():
     spec = WorkloadSpec(KB4, "random", measured_accesses=50)
-    trace = gen_random(spec, BASE)
+    trace = gen_trace(spec, BASE)
     assert trace.measurement == [BASE] * 50
 
 
@@ -97,7 +98,7 @@ def test_random_trace_is_roughly_uniform():
     # 3906 +- 5 sigma with sigma = sqrt(n*p*(1-p)) ~ 62; the fixed seed
     # lands around 3 sigma, so this never flakes
     spec = WorkloadSpec(1 << 20, "random", seed=0)
-    trace = gen_random(spec, BASE)
+    trace = gen_trace(spec, BASE)
     pages = (np.array(trace.measurement, dtype=np.uint64) - BASE) >> 12
     counts = np.bincount(pages.astype(np.int64), minlength=256)
     n, p = spec.measured_accesses, 1 / 256
@@ -108,10 +109,6 @@ def test_random_trace_is_roughly_uniform():
 
 
 def test_gen_trace_dispatch_and_pattern_check():
-    with pytest.raises(ValueError):
-        gen_linear(WorkloadSpec(KB4, "random"), BASE)
-    with pytest.raises(ValueError):
-        gen_random(WorkloadSpec(KB4, "linear"), BASE)
     assert gen_trace(WorkloadSpec(KB4, "linear", measured_accesses=1), BASE).measurement == [BASE]
 
 

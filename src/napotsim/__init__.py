@@ -32,11 +32,8 @@ from .pagetable import (
 from .sv39 import (
     PageSize,
     PageTableEntry,
-    VaParts,
     decode_pte,
-    encode_pte,
     napot_translate,
-    split_va,
 )
 from .sweep import (
     ExperimentConfig,
@@ -48,7 +45,7 @@ from .sweep import (
     run_cell,
     run_sweep,
 )
-from .tlb import L1Dtlb, L2Tlb, l2_index
+from .tlb import L1Dtlb, L2Tlb
 from .workloads import (
     AccessTrace,
     WorkloadSpec,

@@ -103,9 +103,17 @@ def _cmd_run(args):
     return 0
 
 
+def _flag_value(flag, parse, text):
+    """Parse one flag's text, naming the flag if the value is bad."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _cmd_gen_trace(args):
-    chunk = parse_size(args.chunk_bytes)
-    base_va = int(args.base_va, 0)
+    chunk = _flag_value("--chunk-bytes", parse_size, args.chunk_bytes)
+    base_va = _flag_value("--base-va", lambda text: int(text, 0), args.base_va)
     spec = WorkloadSpec(
         chunk, args.pattern, seed=args.seed, measured_accesses=args.accesses
     )

@@ -1,4 +1,4 @@
-"""sv39 address arithmetic and PTE encoding, including the SVNAPOT 64KB form.
+"""sv39 address constants and PTE rules, including the SVNAPOT 64KB form.
 
 Addresses are plain ints. A virtual address is canonical when bits 63:39
 replicate bit 38. The 27-bit VPN sits at bits 38:12 and splits into three
@@ -10,7 +10,7 @@ taken from the VA instead of the entry.
 
 from dataclasses import dataclass
 
-from .errors import AlignmentError, CanonicalityError, MalformedNapotError
+from .errors import CanonicalityError, MalformedNapotError
 
 PAGE_SHIFT = 12
 PAGE_BYTES = 1 << PAGE_SHIFT
@@ -62,36 +62,6 @@ def check_canonical(va):
         raise CanonicalityError(f"va {va:#x} is not a canonical sv39 address")
 
 
-@dataclass(frozen=True)
-class VaParts:
-    vpn: int
-    vpn2: int
-    vpn1: int
-    vpn0: int
-    page_offset: int
-    napot_offset: int
-    napot_vpn: int
-
-
-def split_va(va):
-    """Break a canonical va into its VPN fields and offsets.
-
-    napot_vpn drops the low 4 VPN bits (the within-group page number,
-    returned separately as napot_offset).
-    """
-    check_canonical(va)
-    vpn = (va >> PAGE_SHIFT) & VPN_MASK
-    return VaParts(
-        vpn=vpn,
-        vpn2=vpn >> (2 * LEVEL_BITS),
-        vpn1=(vpn >> LEVEL_BITS) & LEVEL_MASK,
-        vpn0=vpn & LEVEL_MASK,
-        page_offset=va & OFFSET_MASK,
-        napot_offset=vpn & NAPOT_OFFSET_MASK,
-        napot_vpn=vpn >> NAPOT_SHIFT,
-    )
-
-
 def napot_translate(entry_ppn, napot_offset):
     """Resolve the 4KB frame a 64KB NAPOT leaf maps for one of its 16 pages.
 
@@ -108,13 +78,6 @@ def napot_translate(entry_ppn, napot_offset):
     return ((entry_ppn >> NAPOT_SHIFT) << NAPOT_SHIFT) | napot_offset
 
 
-def napot_encode_ppn(base_frame):
-    """PPN field for a 64KB leaf over the aligned 16-frame group at base_frame."""
-    if base_frame & NAPOT_OFFSET_MASK:
-        raise AlignmentError(f"frame {base_frame:#x} is not 64KB aligned")
-    return base_frame | NAPOT_PPN_PATTERN
-
-
 @dataclass
 class PageTableEntry:
     valid: bool
@@ -128,35 +91,6 @@ class PageTableEntry:
     @property
     def is_leaf(self):
         return self.readable or self.writable or self.executable
-
-    @property
-    def perm_bits(self):
-        return self.readable | (self.writable << 1) | (self.executable << 2)
-
-
-def leaf_pte(ppn, n_bit=False, readable=True, writable=True, executable=False):
-    return PageTableEntry(True, readable, writable, executable, ppn, n_bit, 0)
-
-
-def table_pte(ppn, level):
-    """Valid pointer to a next-level table; R=W=X=0 marks it non-leaf."""
-    return PageTableEntry(True, False, False, False, ppn, False, level)
-
-
-def encode_pte(entry):
-    raw = 0
-    if entry.valid:
-        raw |= PTE_V
-    if entry.readable:
-        raw |= PTE_R
-    if entry.writable:
-        raw |= PTE_W
-    if entry.executable:
-        raw |= PTE_X
-    raw |= (entry.ppn & PPN_MASK) << PTE_PPN_SHIFT
-    if entry.n_bit:
-        raw |= PTE_N
-    return raw
 
 
 def check_napot_shape(raw, level=0):
@@ -187,7 +121,3 @@ def decode_pte(raw, level=0):
         bool(raw & PTE_N),
         level,
     )
-
-
-def phys_addr(ppn, page_offset):
-    return ((ppn & PPN_MASK) << PAGE_SHIFT) | (page_offset & OFFSET_MASK)

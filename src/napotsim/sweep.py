@@ -298,7 +298,10 @@ def _parse_config_row(key, text):
         if "=" not in part:
             raise ValueError(f"cannot parse {part!r}")
         name, _, value = part.partition("=")
-        values[name.strip()] = value.strip()
+        name = name.strip()
+        if name in values:
+            raise ValueError(f"field {name!r} given twice")
+        values[name] = value.strip()
     unknown = set(values) - {"ways", "page", "patterns"}
     if unknown:
         raise ValueError(f"unknown fields {sorted(unknown)}")

@@ -32,13 +32,10 @@ L2_ENTRIES = 1024
 REPLACEMENT_POLICIES = ("lru", "random")
 
 
-def l2_index(vpn, sets):
-    """Set index shared by both page sizes: drop the NAPOT bits, then mod."""
-    return (vpn >> NAPOT_SHIFT) % sets
-
-
 class L2Tlb:
     def __init__(self, entries=L2_ENTRIES, ways=4, replacement="lru", seed=0):
+        if ways < 1:
+            raise ValueError(f"ways must be at least 1, not {ways}")
         if entries <= 0 or entries % ways:
             raise ValueError(f"{entries} entries do not divide into {ways} ways")
         sets = entries // ways

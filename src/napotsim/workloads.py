@@ -99,7 +99,8 @@ def write_trace(trace, path):
 def read_trace(path):
     """Parse a file written by write_trace back into an AccessTrace.
 
-    A malformed line raises ValueError naming its line number and text.
+    A malformed line, or a value outside [0, 2**64), raises ValueError
+    naming its line number and text.
     """
     phases = {"warmup": [], "measurement": []}
     current = None
@@ -121,9 +122,12 @@ def read_trace(path):
                     f"line {number}: address {line!r} before any phase marker"
                 )
             try:
-                current.append(int(line, 16))
+                va = int(line, 16)
             except ValueError:
                 raise ValueError(
                     f"line {number}: {line!r} is not a hex address"
                 ) from None
+            if va < 0 or va >> 64:
+                raise ValueError(f"line {number}: {line!r} is not a 64-bit address")
+            current.append(va)
     return AccessTrace(phases["warmup"], phases["measurement"])

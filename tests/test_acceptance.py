@@ -37,9 +37,10 @@ import pytest
 
 from napotsim.engine import L1_HIT, L2_HIT, WALK, Simulation
 from napotsim.pagetable import RegionSpec
-from napotsim.sv39 import PageSize, encode_pte, leaf_pte, napot_encode_ppn
+from napotsim.sv39 import PageSize
 from napotsim.sweep import ExperimentConfig, emit_csv, run_sweep
-from napotsim.tlb import L2Tlb, l2_index
+from napotsim.tlb import L2Tlb
+from ptes import leaf, napot_leaf
 
 KB = 1 << 10
 MB = 1 << 20
@@ -224,12 +225,9 @@ def test_08_napot_differential():
         group_vpn = rng.getrandbits(27) & ~0xF
         napot_tlb.flush_all()
         discrete_tlb.flush_all()
-        napot_tlb.insert(
-            group_vpn | rng.randrange(16),
-            encode_pte(leaf_pte(napot_encode_ppn(base_frame), n_bit=True)),
-        )
+        napot_tlb.insert(group_vpn | rng.randrange(16), napot_leaf(base_frame))
         for k in range(16):
-            discrete_tlb.insert(group_vpn | k, encode_pte(leaf_pte(base_frame + k)))
+            discrete_tlb.insert(group_vpn | k, leaf(base_frame + k))
         for k in range(16):
             via_napot = napot_tlb.lookup(group_vpn | k)
             via_discrete = discrete_tlb.lookup(group_vpn | k)
@@ -252,14 +250,12 @@ def test_09_flush_semantics():
         for _ in range(rng.randrange(1, 200)):
             vpn = rng.getrandbits(27)
             if rng.random() < 0.3:
-                frame = rng.getrandbits(40) & ~0xF
-                pte = leaf_pte(napot_encode_ppn(frame), n_bit=True)
-                tlb.insert(vpn, encode_pte(pte))
+                tlb.insert(vpn, napot_leaf(rng.getrandbits(40) & ~0xF))
             else:
-                tlb.insert(vpn, encode_pte(leaf_pte(rng.getrandbits(44))))
+                tlb.insert(vpn, leaf(rng.getrandbits(44)))
         va = rng.getrandbits(38)
         vpn = va >> 12
-        flushed_set = l2_index(vpn, tlb.sets)
+        flushed_set = (vpn // 16) % tlb.sets  # the set index, by division
         before = tlb.dump()
         tlb.flush(va)
         group = vpn & ~0xF

@@ -28,15 +28,8 @@ from napotsim.pagetable import (
     validate_regions,
     walk,
 )
-from napotsim.sv39 import (
-    PPN_MASK,
-    PageSize,
-    decode_pte,
-    encode_pte,
-    leaf_pte,
-    napot_translate,
-    table_pte,
-)
+from napotsim.sv39 import PPN_MASK, PageSize, decode_pte, napot_translate
+from ptes import N, R, W, leaf, napot_leaf, pointer
 
 GB = 1 << 30
 MB2 = 2 << 20
@@ -119,7 +112,7 @@ def test_region_spec_validation():
         RegionSpec(0x4000_0000, KB4, 8192, 0x1000)
     RegionSpec(0x4000_0000, KB4, PageSize.PAGE_4K, PPN_MASK)
     with pytest.raises(ValueError, match="PPN range"):
-        # the second frame would wrap to 0 in encode_pte
+        # the second frame would wrap to 0 in the leaf's 44-bit PPN field
         RegionSpec(0x4000_0000, KB4 * 2, PageSize.PAGE_4K, PPN_MASK)
 
 
@@ -141,6 +134,27 @@ def test_build_single_4k_region():
     leaf = read_leaf(mem, root, 0)
     assert leaf.valid and leaf.is_leaf and not leaf.n_bit
     assert leaf.ppn == 0x1000
+
+
+def test_build_writes_spec_layout():
+    # every word the builder writes equals the one tests/ptes.py builds from
+    # the spec's bit positions; tables sit above the highest region frame
+    # (root 0x2010, level-1 0x2011, level-0 0x2012), and va bits 38:30 are 1
+    regions = [
+        RegionSpec(0x4000_0000, 2 * KB4, PageSize.PAGE_4K, 0x1000),
+        RegionSpec(0x4001_0000, KB64, PageSize.PAGE_64K, 0x2000),
+    ]
+    mem, root = build_page_tables(regions)
+    assert root == 0x2010
+    expected = {
+        (0x2010 << 12) | (1 << 3): pointer(0x2011),
+        0x2011 << 12: pointer(0x2012),
+        0x2012 << 12: leaf(0x1000),
+        (0x2012 << 12) | (1 << 3): leaf(0x1001),
+    }
+    for k in range(16):
+        expected[(0x2012 << 12) | ((16 + k) << 3)] = napot_leaf(0x2000)
+    assert mem == expected
 
 
 def test_build_64k_region_fills_group():
@@ -255,39 +269,27 @@ def test_walk_faults_outside_regions():
     assert result.faulted and result.memory_reads == 1 and result.cache_hits == 0
 
 
-V, R, W = 1, 2, 4
-N = 1 << 63
-
-
-def ptr_word(frame):
-    return (frame << 10) | V
-
-
-def leaf_word(ppn, flags=V | R | W):
-    return (ppn << 10) | flags
-
-
 # pointers to the level-1 table in frame 2 and the level-0 table in frame 3
-TO_L1, TO_L0 = ptr_word(2), ptr_word(3)
+TO_L1, TO_L0 = pointer(2), pointer(3)
 
 
 @pytest.mark.parametrize(
     "words, outcome",
     [
         ([0], (True, 1)),
-        ([leaf_word(0x40000)], (SuperpageError, "1GB leaf")),
+        ([leaf(0x40000)], (SuperpageError, "1GB leaf")),
         ([TO_L1 | N], (MalformedNapotError, "non-leaf or level-2 entry")),
-        ([leaf_word(0x18) | N], (MalformedNapotError, "non-leaf or level-2 entry")),
-        ([TO_L1, leaf_word(0x200)], (SuperpageError, "2MB leaf")),
+        ([leaf(0x18, napot=True)], (MalformedNapotError, "non-leaf or level-2 entry")),
+        ([TO_L1, leaf(0x200)], (SuperpageError, "2MB leaf")),
         ([TO_L1, TO_L0 | N], (MalformedNapotError, "non-leaf or level-1 entry")),
         ([TO_L1, 0], (True, 2)),
-        ([TO_L1, TO_L0, ptr_word(4)], (True, 3)),
-        ([TO_L1, TO_L0, ptr_word(0x18) | N], (MalformedNapotError, "non-leaf")),
-        ([TO_L1, TO_L0, leaf_word(0x17) | N], (MalformedNapotError, "lacks the 64KB")),
-        ([TO_L1, TO_L0, leaf_word(0x18, R | W) | N], (True, 3)),
-        ([TO_L1, TO_L0, leaf_word(0x1234)], (False, 3)),
-        ([TO_L1, TO_L0, leaf_word(0x18) | N], (False, 3)),
-        ([TO_L1, TO_L0, leaf_word(0x55, V | W)], (False, 3)),
+        ([TO_L1, TO_L0, pointer(4)], (True, 3)),
+        ([TO_L1, TO_L0, pointer(0x18) | N], (MalformedNapotError, "non-leaf")),
+        ([TO_L1, TO_L0, leaf(0x17, napot=True)], (MalformedNapotError, "lacks the 64KB")),
+        ([TO_L1, TO_L0, N | (0x18 << 10) | R | W], (True, 3)),
+        ([TO_L1, TO_L0, leaf(0x1234)], (False, 3)),
+        ([TO_L1, TO_L0, napot_leaf(0x10)], (False, 3)),
+        ([TO_L1, TO_L0, leaf(0x55, perms=0b010)], (False, 3)),
     ],
     ids=[
         "invalid-root", "1gb-leaf", "n-on-l2-pointer", "n-on-l2-leaf",
@@ -330,7 +332,7 @@ def test_walk_flush_restores_cold_cost():
 
 def test_ptw_cache_capacity_and_lru():
     cache = PtwCache(capacity=8)
-    pte = encode_pte(table_pte(0x99, 1))
+    pte = pointer(0x99)
     for key in range(9):
         cache.put(key, pte)
     assert len(cache) == 8
@@ -347,7 +349,7 @@ def test_ptw_cache_rejects_leaves():
     with pytest.raises(ValueError):
         cache.put(0, 0)
     with pytest.raises(ValueError):
-        cache.put(0, encode_pte(leaf_pte(0x10)))
+        cache.put(0, leaf(0x10))
 
 
 def test_ptw_cache_levels_do_not_collide():

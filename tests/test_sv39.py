@@ -1,7 +1,7 @@
-"""Address arithmetic and PTE encoding checks.
+"""Canonicality, NAPOT translation and PTE decoding checks.
 
-The oracles here avoid the shift/mask arithmetic under test: bit fields are
-extracted by slicing the binary string of the value, and the 64KB NAPOT
+The oracles here avoid the shift/mask arithmetic under test: PTE words are
+built by tests/ptes.py from the spec's bit positions, and the 64KB NAPOT
 translation is compared against an explicit table of the 16 page-to-frame
 mappings a group represents.
 """
@@ -10,25 +10,15 @@ import random
 
 import pytest
 
-from napotsim.errors import AlignmentError, CanonicalityError, MalformedNapotError
+from napotsim.errors import CanonicalityError, MalformedNapotError
 from napotsim.sv39 import (
     PageTableEntry,
+    check_canonical,
     decode_pte,
-    encode_pte,
     is_canonical,
-    leaf_pte,
-    napot_encode_ppn,
     napot_translate,
-    phys_addr,
-    split_va,
-    table_pte,
 )
-
-
-def bits(value, hi, lo):
-    """Bit-slice oracle: value[hi:lo] via the 64-bit binary string."""
-    text = format(value, "064b")
-    return int(text[63 - hi : 64 - lo], 2)
+from ptes import N, leaf, napot_leaf, pointer
 
 
 def napot_frame_table(entry_ppn):
@@ -37,66 +27,13 @@ def napot_frame_table(entry_ppn):
     return {k: base + k for k in range(16)}
 
 
-def test_split_va_zero():
-    parts = split_va(0)
-    assert (parts.vpn, parts.vpn2, parts.vpn1, parts.vpn0) == (0, 0, 0, 0)
-    assert (parts.page_offset, parts.napot_offset, parts.napot_vpn) == (0, 0, 0)
-
-
-def test_split_va_known_value():
-    parts = split_va(0x12345678)
-    assert parts.vpn == 0x12345
-    assert parts.page_offset == 0x678
-    assert parts.vpn2 == 0
-    assert parts.vpn1 == 0x91
-    assert parts.vpn0 == 0x145
-    assert parts.napot_offset == 0x5
-    assert parts.napot_vpn == 0x1234
-
-
-def test_split_va_highest_low_half():
-    # largest canonical address in the low half: bit 38 clear, VPN has
-    # bits 25:0 set, bit 26 clear
-    parts = split_va(0x3F_FFFF_FFFF)
-    assert parts.vpn == 0x3FFFFFF
-    assert parts.vpn2 == 0x0FF
-    assert parts.vpn1 == 0x1FF
-    assert parts.vpn0 == 0x1FF
-    assert parts.page_offset == 0xFFF
-
-
-def test_split_va_high_half():
-    parts = split_va(0xFFFF_FFFF_FFFF_F000)
-    assert parts.vpn == 0x7FFFFFF
-    assert parts.page_offset == 0
-
-
-def test_split_va_matches_bit_slices():
-    rng = random.Random(7)
-    for _ in range(500):
-        va = rng.getrandbits(38)
-        if rng.random() < 0.5:
-            # flip to the high half: bit 38 and the extension all ones
-            va |= ((1 << 26) - 1) << 38
-        parts = split_va(va)
-        assert parts.vpn == bits(va, 38, 12)
-        assert parts.vpn2 == bits(va, 38, 30)
-        assert parts.vpn1 == bits(va, 29, 21)
-        assert parts.vpn0 == bits(va, 20, 12)
-        assert parts.page_offset == bits(va, 11, 0)
-        assert parts.napot_offset == bits(va, 15, 12)
-        assert parts.napot_vpn == bits(va, 38, 16)
-        # the three level indices reassemble the VPN
-        assert (parts.vpn2 << 18) | (parts.vpn1 << 9) | parts.vpn0 == parts.vpn
-
-
 @pytest.mark.parametrize(
     "va",
     [1 << 38, 1 << 63, 0x8000_0000_0000_0000, 0x0000_4000_0000_0000, -1, 1 << 64],
 )
-def test_split_va_rejects_non_canonical(va):
+def test_check_canonical_rejects_non_canonical(va):
     with pytest.raises(CanonicalityError):
-        split_va(va)
+        check_canonical(va)
 
 
 def test_is_canonical_boundaries():
@@ -104,6 +41,9 @@ def test_is_canonical_boundaries():
     assert not is_canonical(0x40_0000_0000)
     assert not is_canonical(0xFFFF_FFBF_FFFF_FFFF)
     assert is_canonical(0xFFFF_FFC0_0000_0000)
+    # check_canonical accepts both halves up to the top of the 64-bit range
+    for va in (0, 0x3F_FFFF_FFFF, 0xFFFF_FFC0_0000_0000, (1 << 64) - 1):
+        check_canonical(va)
 
 
 def test_napot_translate_known_values():
@@ -141,39 +81,28 @@ def test_napot_translate_rejects_bad_offset():
         napot_translate(0x18, -1)
 
 
-def test_napot_encode_ppn():
-    assert napot_encode_ppn(0x80010) == 0x80018
-    with pytest.raises(AlignmentError):
-        napot_encode_ppn(0x80011)
-
-
-def test_encode_pte_known_layout():
-    # V|R|W at bits 0-2, ppn 0x1234 at bits 53:10
-    raw = encode_pte(leaf_pte(0x1234))
-    assert raw == (1 << 0) | (1 << 1) | (1 << 2) | (0x1234 << 10)
-    raw = encode_pte(leaf_pte(0x80018, n_bit=True))
-    assert bits(raw, 63, 63) == 1
-    assert bits(raw, 53, 10) == 0x80018
-    assert bits(raw, 3, 0) == 0b0111
-
-
 def test_encode_decode_round_trip():
     rng = random.Random(23)
     for _ in range(300):
         kind = rng.randrange(3)
         if kind == 0:
-            entry = leaf_pte(
-                rng.getrandbits(44),
-                readable=bool(rng.getrandbits(1)),
-                writable=bool(rng.getrandbits(1)),
-                executable=True,  # keep it a leaf
-            )
+            ppn = rng.getrandbits(44)
+            perms = rng.getrandbits(2) | 0b100  # X set keeps it a leaf
+            word = leaf(ppn, perms=perms)
+            level = 0
+            entry = PageTableEntry(True, bool(perms & 1), bool(perms & 2), True,
+                                   ppn, False, level)
         elif kind == 1:
-            entry = leaf_pte(napot_encode_ppn(rng.getrandbits(40) << 4), n_bit=True)
+            base = rng.getrandbits(40) << 4
+            word = napot_leaf(base)
+            level = 0
+            entry = PageTableEntry(True, True, True, False, base | 0b1000, True, level)
         else:
-            entry = table_pte(rng.getrandbits(44), rng.choice((1, 2)))
-        back = decode_pte(encode_pte(entry), level=entry.level)
-        assert back == entry
+            ppn = rng.getrandbits(44)
+            word = pointer(ppn)
+            level = rng.choice((1, 2))
+            entry = PageTableEntry(True, False, False, False, ppn, False, level)
+        assert decode_pte(word, level=level) == entry
 
 
 def test_decode_invalid_entry():
@@ -181,35 +110,28 @@ def test_decode_invalid_entry():
     assert not entry.valid
     assert not entry.is_leaf
     # invalid entries decode even with a garbage N bit
-    entry = decode_pte(1 << 63)
+    entry = decode_pte(N)
     assert not entry.valid
     assert entry.n_bit
 
 
 def test_decode_rejects_malformed_napot():
-    raw = encode_pte(PageTableEntry(True, True, True, False, 0x80017, True, 0))
+    raw = leaf(0x80017, napot=True)
     with pytest.raises(MalformedNapotError):
         decode_pte(raw, level=0)
     # N on a non-leaf or above level 0 is also malformed
-    raw = (1 << 63) | (0x18 << 10) | 1
+    raw = pointer(0x18) | N
     with pytest.raises(MalformedNapotError):
         decode_pte(raw, level=0)
-    raw = encode_pte(PageTableEntry(True, True, False, False, 0x18, True, 0))
+    raw = leaf(0x18, napot=True, perms=0b001)
     with pytest.raises(MalformedNapotError):
         decode_pte(raw, level=1)
 
 
 def test_is_leaf_and_perm_bits():
-    assert not table_pte(5, 1).is_leaf
-    assert leaf_pte(5, readable=True, writable=False).is_leaf
-    assert leaf_pte(5, readable=True, writable=True).perm_bits == 0b011
-    assert leaf_pte(5, readable=False, writable=False, executable=True).perm_bits == 0b100
-
-
-def test_phys_addr_reassembly():
-    rng = random.Random(31)
-    for _ in range(200):
-        va = rng.getrandbits(38)
-        parts = split_va(va)
-        # identity mapping: pa reproduces the low 39 bits of the va
-        assert phys_addr(parts.vpn, parts.page_offset) == va
+    assert not decode_pte(pointer(5), level=1).is_leaf
+    assert decode_pte(leaf(5, perms=0b001)).is_leaf
+    entry = decode_pte(leaf(5, perms=0b011))
+    assert (entry.readable, entry.writable, entry.executable) == (True, True, False)
+    entry = decode_pte(leaf(5, perms=0b100))
+    assert (entry.readable, entry.writable, entry.executable) == (False, False, True)

@@ -331,6 +331,8 @@ def test_load_config_errors(tmp_path):
         ("[configs]\n1 = ways=4, page=2M\n", r"\[configs\] 1: unknown page size"),
         ("[configs]\n1 = ways=4\n", r"\[configs\] 1: missing field 'page'"),
         ("[configs]\n1 = ways=4, page=4K, bogus=1\n", r"\[configs\] 1: .*bogus"),
+        ("[configs]\n1 = ways=4, ways=16, page=4K\n",
+         r"\[configs\] 1: field 'ways' given twice"),
         ("[configs]\n1 = ways=5, page=4K\n", "config 1: ways must be 4 or 16"),
         ("[sweep]\nseed = x\n", r"\[sweep\] seed: .*'x'"),
         ("[sweep]\ninclude_warmup = maybe\n", r"\[sweep\] include_warmup: .*'maybe'"),
@@ -347,6 +349,14 @@ def test_readme_example_config_loads_to_defaults(tmp_path):
     path = tmp_path / "example.ini"
     path.write_text(example)
     assert load_config(path) == ExperimentConfig()
+
+
+def test_readme_example_python_runs(capsys):
+    # guards that the library example only names what napotsim exports
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("PhaseStats(")
 
 
 def test_results_identical_across_trace_sharing():

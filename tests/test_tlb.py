@@ -1,8 +1,9 @@
 """L1/L2 TLB behavior: indexing, dual-size matching, replacement, flush.
 
 The indexing oracle recomputes the set index as (vpn // 16) mod sets with
-division instead of shifts. NAPOT hit results are checked against the
-explicit 16-entry frame table an entry stands for.
+division instead of shifts, and the index tests read the set an entry
+landed in from the L2's own dump(). NAPOT hit results are checked against
+the explicit 16-entry frame table an entry stands for.
 """
 
 import random
@@ -10,24 +11,28 @@ import random
 import pytest
 
 from napotsim.errors import MalformedNapotError
-from napotsim.sv39 import encode_pte, leaf_pte, napot_encode_ppn, table_pte
-from napotsim.tlb import L1Dtlb, L2Tlb, l2_index
+from napotsim.tlb import L1Dtlb, L2Tlb
+from ptes import leaf, napot_leaf, pointer
 
 
 def index_oracle(vpn, sets):
     return (vpn // 16) % sets
 
 
-def napot_pte(base_frame):
-    return encode_pte(leaf_pte(napot_encode_ppn(base_frame), n_bit=True))
+def occupied_set(vpn, sets, pte):
+    """The set index an empty 4-way L2 of `sets` sets files vpn's entry under."""
+    tlb = L2Tlb(sets * 4, 4)
+    tlb.insert(vpn, pte)
+    (index,) = tlb.dump()
+    return index
 
 
 def test_l2_index_known_values():
-    assert l2_index(0, 256) == 0
-    assert l2_index(0x12345, 256) == 0x34
-    assert l2_index(0x12345, 64) == 0x34 % 64
+    assert occupied_set(0, 256, leaf(0x100)) == 0
+    assert occupied_set(0x12345, 256, leaf(0x100)) == 0x34
+    assert occupied_set(0x12345, 64, leaf(0x100)) == 0x34 % 64
     # the 16 pages of one group share an index; the next group moves on
-    assert [l2_index(vpn, 64) for vpn in range(17)] == [0] * 16 + [1]
+    assert [occupied_set(vpn, 64, leaf(0x100)) for vpn in range(17)] == [0] * 16 + [1]
 
 
 def test_l2_index_matches_oracle():
@@ -35,14 +40,16 @@ def test_l2_index_matches_oracle():
     for _ in range(500):
         vpn = rng.getrandbits(27)
         for sets in (64, 256):
-            assert l2_index(vpn, sets) == index_oracle(vpn, sets)
+            for pte in (leaf(0x100), napot_leaf(0x100)):
+                assert occupied_set(vpn, sets, pte) == index_oracle(vpn, sets)
 
 
 def test_l2_index_group_invariance():
     rng = random.Random(5)
     for _ in range(200):
         group = rng.getrandbits(23) << 4
-        indices = {l2_index(group | k, 256) for k in range(16)}
+        indices = {occupied_set(group | k, 256, leaf(0x100)) for k in range(16)}
+        indices |= {occupied_set(group | k, 256, napot_leaf(0x100)) for k in range(16)}
         assert len(indices) == 1
 
 
@@ -51,6 +58,8 @@ def test_l2_geometry_validation():
     L2Tlb(1024, 16)
     with pytest.raises(ValueError):
         L2Tlb(1024, 3)
+    with pytest.raises(ValueError, match="ways must be at least 1"):
+        L2Tlb(1024, 0)
     with pytest.raises(ValueError):
         L2Tlb(0, 4)
     with pytest.raises(ValueError):
@@ -67,7 +76,7 @@ def test_l2_miss_on_empty():
 
 def test_l2_4k_entry_exact_match():
     tlb = L2Tlb()
-    assert tlb.insert(0x1230, encode_pte(leaf_pte(0x200))) == 0x200
+    assert tlb.insert(0x1230, leaf(0x200)) == 0x200
     assert tlb.lookup(0x1230) == 0x200
     # same group, different page: a 4KB entry does not cover neighbors
     assert tlb.lookup(0x1231) is None
@@ -77,7 +86,7 @@ def test_l2_4k_entry_exact_match():
 def test_l2_napot_entry_covers_group():
     tlb = L2Tlb()
     # insert hands back the translation of the VPN it was given
-    assert tlb.insert(0x1235, napot_pte(0x80010)) == 0x80015
+    assert tlb.insert(0x1235, napot_leaf(0x80010)) == 0x80015
     frames = {k: 0x80010 + k for k in range(16)}
     for k in range(16):
         assert tlb.lookup(0x1230 | k) == frames[k]
@@ -87,8 +96,8 @@ def test_l2_napot_entry_covers_group():
 
 def test_l2_4k_entry_wins_before_napot_probe():
     tlb = L2Tlb()
-    tlb.insert(0x1230, napot_pte(0x80010))
-    tlb.insert(0x1231, encode_pte(leaf_pte(0x999)))
+    tlb.insert(0x1230, napot_leaf(0x80010))
+    tlb.insert(0x1231, leaf(0x999))
     assert tlb.lookup(0x1231) == 0x999
     assert tlb.lookup(0x1232) == 0x80012
 
@@ -96,9 +105,9 @@ def test_l2_4k_entry_wins_before_napot_probe():
 def test_l2_insert_rejects_bad_entries():
     tlb = L2Tlb()
     with pytest.raises(MalformedNapotError):
-        tlb.insert(0x1230, encode_pte(leaf_pte(0x80011, n_bit=True)))
+        tlb.insert(0x1230, leaf(0x80011, napot=True))
     with pytest.raises(ValueError):
-        tlb.insert(0x1230, encode_pte(table_pte(0x10, 1)))
+        tlb.insert(0x1230, pointer(0x10))
 
 
 def test_l2_lru_eviction_within_set():
@@ -106,7 +115,7 @@ def test_l2_lru_eviction_within_set():
     # five 4KB pages in five different groups, all landing in set 0
     vpns = [k * 16 * 256 for k in range(5)]
     for vpn in vpns:
-        tlb.insert(vpn, encode_pte(leaf_pte(0x100 + vpn)))
+        tlb.insert(vpn, leaf(0x100 + vpn))
     assert tlb.lookup(vpns[0]) is None
     for vpn in vpns[1:]:
         assert tlb.lookup(vpn) == 0x100 + vpn
@@ -117,9 +126,9 @@ def test_l2_lookup_refreshes_lru():
     tlb = L2Tlb(1024, 4)
     vpns = [k * 16 * 256 for k in range(4)]
     for vpn in vpns:
-        tlb.insert(vpn, encode_pte(leaf_pte(0x100 + vpn)))
+        tlb.insert(vpn, leaf(0x100 + vpn))
     assert tlb.lookup(vpns[0]) is not None  # oldest becomes most recent
-    tlb.insert(5 * 16 * 256, encode_pte(leaf_pte(0x900)))
+    tlb.insert(5 * 16 * 256, leaf(0x900))
     assert tlb.lookup(vpns[0]) is not None
     assert tlb.lookup(vpns[1]) is None  # the true oldest was evicted
 
@@ -128,10 +137,10 @@ def test_l2_reinsert_refreshes_in_place():
     tlb = L2Tlb(1024, 4)
     vpns = [k * 16 * 256 for k in range(4)]
     for vpn in vpns:
-        tlb.insert(vpn, encode_pte(leaf_pte(0x100 + vpn)))
-    tlb.insert(vpns[0], encode_pte(leaf_pte(0x100 + vpns[0])))
+        tlb.insert(vpn, leaf(0x100 + vpn))
+    tlb.insert(vpns[0], leaf(0x100 + vpns[0]))
     assert tlb.occupancy() == 4
-    tlb.insert(5 * 16 * 256, encode_pte(leaf_pte(0x900)))
+    tlb.insert(5 * 16 * 256, leaf(0x900))
     assert tlb.lookup(vpns[0]) is not None
     assert tlb.lookup(vpns[1]) is None
 
@@ -139,11 +148,11 @@ def test_l2_reinsert_refreshes_in_place():
 def test_l2_mixed_sizes_share_a_set():
     tlb = L2Tlb(1024, 4)
     # one NAPOT group plus three 4KB pages from other groups, same set
-    tlb.insert(0, napot_pte(0x80010))
+    tlb.insert(0, napot_leaf(0x80010))
     for k in range(1, 4):
-        tlb.insert(k * 16 * 256, encode_pte(leaf_pte(0x100 + k)))
+        tlb.insert(k * 16 * 256, leaf(0x100 + k))
     assert tlb.occupancy() == 4
-    tlb.insert(4 * 16 * 256, encode_pte(leaf_pte(0x500)))
+    tlb.insert(4 * 16 * 256, leaf(0x500))
     # the NAPOT entry was oldest and lost its whole 64KB of reach
     assert tlb.lookup(0) is None
     assert tlb.lookup(7) is None
@@ -151,9 +160,9 @@ def test_l2_mixed_sizes_share_a_set():
 
 def test_l2_flush_clears_whole_set():
     tlb = L2Tlb(1024, 4)
-    tlb.insert(0x0, encode_pte(leaf_pte(0x100)))
-    tlb.insert(16 * 256, encode_pte(leaf_pte(0x200)))  # same set, next index wrap
-    tlb.insert(16, encode_pte(leaf_pte(0x300)))  # set 1
+    tlb.insert(0x0, leaf(0x100))
+    tlb.insert(16 * 256, leaf(0x200))  # same set, next index wrap
+    tlb.insert(16, leaf(0x300))  # set 1
     tlb.flush(0x0)  # va 0 indexes set 0
     assert tlb.lookup(0x0) is None
     assert tlb.lookup(16 * 256) is None
@@ -162,7 +171,7 @@ def test_l2_flush_clears_whole_set():
 
 def test_l2_flush_uses_va_not_vpn():
     tlb = L2Tlb(1024, 4)
-    tlb.insert(0x10, encode_pte(leaf_pte(0x100)))  # vpn 16 -> set 1
+    tlb.insert(0x10, leaf(0x100))  # vpn 16 -> set 1
     tlb.flush(0x10 << 12)
     assert tlb.lookup(0x10) is None
 
@@ -170,7 +179,7 @@ def test_l2_flush_uses_va_not_vpn():
 def test_l2_flush_all():
     tlb = L2Tlb(1024, 4)
     for k in range(64):
-        tlb.insert(k * 16, encode_pte(leaf_pte(0x100 + k)))
+        tlb.insert(k * 16, leaf(0x100 + k))
     tlb.flush_all()
     assert tlb.occupancy() == 0
     tlb.flush_all()  # idempotent
@@ -181,7 +190,7 @@ def test_l2_sixteen_way_reach_with_4k_pages():
     # 64 sets leaves 16 pages per set, one per way
     tlb = L2Tlb(1024, 16)
     for vpn in range(1024):
-        tlb.insert(vpn, encode_pte(leaf_pte(0x1000 + vpn)))
+        tlb.insert(vpn, leaf(0x1000 + vpn))
     assert tlb.occupancy() == 1024
     for vpn in range(1024):
         assert tlb.lookup(vpn) == 0x1000 + vpn
@@ -191,7 +200,7 @@ def test_l2_sixteen_way_reach_with_napot_pages():
     # 1024 NAPOT groups likewise fill it: 16MB of reach
     tlb = L2Tlb(1024, 16)
     for group in range(1024):
-        tlb.insert(group * 16, napot_pte(0x10000 + group * 16))
+        tlb.insert(group * 16, napot_leaf(0x10000 + group * 16))
     assert tlb.occupancy() == 1024
     for group in range(1024):
         vpn = group * 16 + (group % 16)
@@ -204,7 +213,7 @@ def test_l2_four_way_conflict_ceiling():
     tlb = L2Tlb(1024, 4)
     stride = 16 * 256
     for vpn in range(0, 8 * stride, stride):
-        tlb.insert(vpn, encode_pte(leaf_pte(vpn)))
+        tlb.insert(vpn, leaf(vpn))
     hits = sum(tlb.lookup(vpn) is not None for vpn in range(0, 8 * stride, stride))
     assert hits == 4
 
@@ -214,7 +223,7 @@ def test_l2_random_replacement_is_seeded():
     def run(seed):
         tlb = L2Tlb(1024, 4, replacement="random", seed=seed)
         for vpn, ppn in ops:
-            tlb.insert(vpn, encode_pte(leaf_pte(ppn)))
+            tlb.insert(vpn, leaf(ppn))
         return tlb.dump()
     assert run(1) == run(1)
     assert run(1) != run(2)  # different victims somewhere in 28 evictions

@@ -168,6 +168,9 @@ def test_read_trace_rejects_stray_lines(tmp_path):
         ("# note\n\n0x2000\n", r"line 3: address '0x2000' before any"),
         ("# phase: warmup\n0x1000\nzz\n", r"line 3: 'zz' is not a hex address"),
         ("# phase: warmup\n# phase: cooldown\n", r"line 2: unknown phase 'cooldown'"),
+        ("# phase: warmup\n-0x1000\n", r"line 2: '-0x1000' is not a 64-bit address"),
+        ("# phase: measurement\n0x10000000000000000\n",
+         r"line 2: '0x10000000000000000' is not a 64-bit address"),
     )
     for text, message in cases:
         path.write_text(text)

@@ -114,8 +114,12 @@ def _flag_value(flag, parse, text):
 def _cmd_gen_trace(args):
     chunk = _flag_value("--chunk-bytes", parse_size, args.chunk_bytes)
     base_va = _flag_value("--base-va", lambda text: int(text, 0), args.base_va)
-    spec = WorkloadSpec(
-        chunk, args.pattern, seed=args.seed, measured_accesses=args.accesses
+    spec = WorkloadSpec(chunk, args.pattern)
+    spec = _flag_value("--seed", lambda seed: replace(spec, seed=seed), args.seed)
+    spec = _flag_value(
+        "--accesses",
+        lambda count: replace(spec, measured_accesses=count),
+        args.accesses,
     )
     # the chunk must fit in a region run would map: canonical and aligned
     make_regions(spec, base_va, 0)

@@ -16,7 +16,9 @@ from .errors import AlignmentError, CanonicalityError, RegionOverlapError, Super
 from .sv39 import (
     LEVEL_MASK,
     NAPOT_OFFSET_MASK,
+    NAPOT_PAGES,
     NAPOT_PPN_PATTERN,
+    NAPOT_SHIFT,
     PAGE_SHIFT,
     PPN_MASK,
     PTE_N,
@@ -154,6 +156,7 @@ def build_page_tables(regions):
 
     Tables take the frames of table_frames(regions) in order: the root, then
     each table when the first page under it is mapped. Leaves are R+W.
+    Each 2MB slot's leaves go in with one dict update, in page order.
     """
     regions = validate_regions(regions)
     alloc = iter(table_frames(regions)).__next__
@@ -164,30 +167,41 @@ def build_page_tables(regions):
         base_vpn = (region.base_va >> PAGE_SHIFT) & VPN_MASK
         napot = region.page_size == PageSize.PAGE_64K
         leaf_flags = PTE_V | PTE_R | PTE_W | (PTE_N if napot else 0)
-        for i in range(region.num_pages):
+        i = 0
+        while i < region.num_pages:
             vpn = base_vpn + i
-            if i == 0 or not vpn & LEVEL_MASK:
-                # first page in a 2MB slot: find its level-0 table, adding
-                # the missing tables and pointers on the way
-                table = root
-                for level in (2, 1):
-                    shift = 9 * level
-                    key = ((vpn >> shift) << 2) | level
-                    if key not in tables:
-                        tables[key] = alloc()
-                        slot = ((vpn >> shift) & LEVEL_MASK) << 3
-                        mem[(table << PAGE_SHIFT) | slot] = (
-                            (tables[key] << PTE_PPN_SHIFT) | PTE_V
-                        )
-                    table = tables[key]
+            # pages i..end-1 share vpn's 2MB slot and so its level-0 table
+            end = min(region.num_pages, i + LEVEL_MASK + 1 - (vpn & LEVEL_MASK))
+            # find that table, adding the missing tables and pointers on the way
+            table = root
+            for level in (2, 1):
+                shift = 9 * level
+                key = ((vpn >> shift) << 2) | level
+                if key not in tables:
+                    tables[key] = alloc()
+                    slot = ((vpn >> shift) & LEVEL_MASK) << 3
+                    mem[(table << PAGE_SHIFT) | slot] = (
+                        (tables[key] << PTE_PPN_SHIFT) | PTE_V
+                    )
+                table = tables[key]
+            first = (table << PAGE_SHIFT) | ((vpn & LEVEL_MASK) << 3)
+            addresses = range(first, first + ((end - i) << 3), 8)
+            # a leaf word grows by 1 << PTE_PPN_SHIFT per frame: the flags
+            # sit below the PPN field
+            ppn = region.base_ppn + i
             if napot:
-                # all 16 slots of the group carry the same marked leaf
-                ppn = (region.base_ppn + (i & ~NAPOT_OFFSET_MASK)) | NAPOT_PPN_PATTERN
+                # a slot holds whole groups (64KB divides 2MB), and all 16
+                # slots of a group carry the same marked leaf
+                step = NAPOT_PAGES << PTE_PPN_SHIFT
+                word = ((ppn | NAPOT_PPN_PATTERN) << PTE_PPN_SHIFT) | leaf_flags
+                groups = range(word, word + ((end - i) >> NAPOT_SHIFT) * step, step)
+                words = [w for w in groups for _ in range(NAPOT_PAGES)]
             else:
-                ppn = region.base_ppn + i
-            mem[(table << PAGE_SHIFT) | ((vpn & LEVEL_MASK) << 3)] = (
-                (ppn << PTE_PPN_SHIFT) | leaf_flags
-            )
+                step = 1 << PTE_PPN_SHIFT
+                word = (ppn << PTE_PPN_SHIFT) | leaf_flags
+                words = range(word, word + (end - i) * step, step)
+            mem.update(zip(addresses, words))
+            i = end
     return mem, root
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pagetable import RegionSpec
-from .sv39 import PAGE_BYTES, PAGE_SHIFT, PageSize
+from .sv39 import PAGE_BYTES, PAGE_SHIFT, PageSize, is_canonical
 
 PATTERNS = ("linear", "random")
 CHUNK_MIN_BYTES = 4 << 10
@@ -99,8 +99,8 @@ def write_trace(trace, path):
 def read_trace(path):
     """Parse a file written by write_trace back into an AccessTrace.
 
-    A malformed line, or a value outside [0, 2**64), raises ValueError
-    naming its line number and text.
+    A malformed line, or a value that is not a canonical sv39 address,
+    raises ValueError naming its line number and text.
     """
     phases = {"warmup": [], "measurement": []}
     current = None
@@ -127,7 +127,9 @@ def read_trace(path):
                 raise ValueError(
                     f"line {number}: {line!r} is not a hex address"
                 ) from None
-            if va < 0 or va >> 64:
-                raise ValueError(f"line {number}: {line!r} is not a 64-bit address")
+            if not is_canonical(va):
+                raise ValueError(
+                    f"line {number}: {line!r} is not a canonical sv39 address"
+                )
             current.append(va)
     return AccessTrace(phases["warmup"], phases["measurement"])

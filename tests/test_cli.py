@@ -235,12 +235,14 @@ def test_gen_trace_custom_base(tmp_path):
         (["--chunk-bytes", "4K", "--seed", "-5"], "seed must be non-negative"),
         (["--chunk-bytes", "4K", "--seed", "-5", "--pattern", "random"],
          "seed must be non-negative"),
+        (["--chunk-bytes", "4K", "--accesses", "-5"],
+         "error: --accesses: measured_accesses must be non-negative"),
         (["--chunk-bytes", "4K", "--base-va", "zz"], "--base-va: invalid literal"),
         (["--chunk-bytes", "8Q"], "--chunk-bytes: cannot parse size '8Q'"),
     ],
     ids=["odd-chunk", "past-canonical-top", "unaligned-base", "missing-out-dir",
-         "negative-seed-linear", "negative-seed-random", "bad-base-va",
-         "bad-chunk-text"],
+         "negative-seed-linear", "negative-seed-random", "negative-accesses",
+         "bad-base-va", "bad-chunk-text"],
 )
 def test_gen_trace_rejects_bad_chunk(tmp_path, capsys, monkeypatch, extra, message):
     def no_trace(spec, base_va):

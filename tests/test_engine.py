@@ -11,6 +11,8 @@ import random
 import re
 import subprocess
 import sys
+from collections import OrderedDict
+from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
 
@@ -130,12 +132,80 @@ def test_non_canonical_access_raises():
         sim.run_trace(AccessTrace([], [1 << 40]))
 
 
+class ProbeCountingDict(OrderedDict):
+    """An L1 entry map that counts the per-access loop's probes."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+def warm_l1(pages):
+    """A simulation whose 4-entry L1 holds pages 0..pages-1, oldest first."""
+    sim = sim_4k(l1_entries=4)
+    sim.run_trace(AccessTrace([BASE_VA + p * KB4 for p in range(pages)], []))
+    sim.l1.entries = ProbeCountingDict(sim.l1.entries)
+    return sim
+
+
+def vpn(va):
+    return va >> 12
+
+
+def test_resident_phase_is_all_hits_in_last_touch_order():
+    # L1 = a b c d, oldest first; the phase c a c hits three times and
+    # leaves b and d, untouched, ahead of a and c in last-touch order
+    a, b, c, d = (BASE_VA + p * KB4 for p in range(4))
+    sim = warm_l1(4)
+    before = replace(sim.stats.warmup)
+    stats = sim.run_trace(AccessTrace([], [c, a + 8, c + 0x10]))
+    assert list(sim.l1.entries) == [vpn(b), vpn(d), vpn(a), vpn(c)]
+    assert stats.measurement == PhaseStats(accesses=3, l1_hits=3, total_cycles=3)
+    assert stats.warmup == before
+    # applied in bulk: the per-access loop never probed the L1
+    assert sim.l1.entries.probes == 0
+
+
+def test_phase_that_opens_with_a_hit_and_later_walks():
+    # L1 = a b c d; the phase a e a: e misses L1 and L2 and walks through
+    # the warm walk cache (1 read), evicting b, the least recent
+    a, b, c, d, e = (BASE_VA + p * KB4 for p in range(5))
+    sim = warm_l1(4)
+    stats = sim.run_trace(AccessTrace([], [a, e, a]))
+    assert stats.measurement == PhaseStats(
+        accesses=3, l1_hits=2, l1_misses=1, l2_misses=1, walks=1,
+        walk_memory_reads=1, total_cycles=3 + 3 + 30,
+    )
+    assert list(sim.l1.entries) == [vpn(c), vpn(d), vpn(e), vpn(a)]
+    assert sim.l1.entries.probes == 3
+
+
+def test_resident_phase_with_a_non_canonical_va_raises():
+    # bit 40 falls outside the 27-bit VPN, so this VA's VPN is a's, which
+    # is resident; only the canonicality check can stop it
+    a, b = BASE_VA, BASE_VA + KB4
+    sim = warm_l1(2)
+    before = deepcopy(sim.stats)
+    with pytest.raises(CanonicalityError, match=f"va {a | 1 << 40:#x}"):
+        sim.run_trace(AccessTrace([], [a, a | 1 << 40, b]))
+    assert sim.stats == before
+
+
 def test_empty_trace_runs():
     sim = sim_4k()
     stats = sim.run_trace(AccessTrace([], []))
     assert stats.warmup.accesses == 0
     assert stats.measurement.accesses == 0
     assert stats.measurement.total_cycles == 0
+    # on a warm L1, empty phases move neither a counter nor the LRU order
+    sim = warm_l1(4)
+    order = list(sim.l1.entries)
+    before = deepcopy(sim.stats)
+    sim.run_trace(AccessTrace([], []))
+    assert list(sim.l1.entries) == order
+    assert sim.stats == before
 
 
 def test_single_page_trace_counts():

@@ -157,6 +157,32 @@ def test_build_writes_spec_layout():
     assert mem == expected
 
 
+@pytest.mark.parametrize("page_size", PageSize.ALL)
+def test_build_region_across_three_level0_tables(page_size):
+    # from 3 groups below a 2MB boundary, through the next 2MB slot, to 3
+    # groups into the one after: three level-0 tables, each partly or fully
+    # filled, all under one level-1 table
+    base_va = GB + MB2 - 3 * KB64
+    region = RegionSpec(base_va, MB2 + 6 * KB64, page_size, 0x10000)
+    mem, root = build_page_tables([region])
+    pages = region.length // KB4
+    assert root == 0x10000 + pages
+    expected = {(root << 12) | (1 << 3): pointer(root + 1)}
+    for slot in range(3):
+        expected[((root + 1) << 12) | (slot << 3)] = pointer(root + 2 + slot)
+    for page in range(pages):
+        va = base_va + page * KB4
+        table = root + 2 + (va - GB) // MB2
+        index = (va % MB2) // KB4
+        if page_size == PageSize.PAGE_64K:
+            word = napot_leaf(0x10000 + page - page % 16)
+        else:
+            word = leaf(0x10000 + page)
+        expected[(table << 12) | (index << 3)] = word
+    assert len(mem) == 1 + 3 + pages
+    assert mem == expected
+
+
 def test_build_64k_region_fills_group():
     region = RegionSpec(0, KB64, PageSize.PAGE_64K, 0x2000)
     mem, root = build_page_tables([region])

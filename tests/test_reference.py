@@ -9,7 +9,9 @@ regions mixing 4KB and 64KB pages in one Simulation (so both entry kinds
 share L2 sets), upper-half canonical VAs, and L1, L2 and walk-cache sizes
 down to one entry. Replacement is LRU throughout. A region in slot 0 maps
 from frame 0, which the TLBs must treat as a hit like any other frame; the
-test checks that each path meets frame 0 at both page sizes.
+test checks that each path meets frame 0 at both page sizes. Some
+measurement phases touch only pages the warm-up left in the L1, which the
+engine applies in bulk; the final L1 order is checked too.
 """
 
 import random
@@ -43,8 +45,9 @@ def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
                   latency):
     """Translate every access of every phase; LRU lists, oldest first.
 
-    Returns the (pa, path, cycles) of each access and one counter dict per
-    phase. State carries across phases; counters do not.
+    Returns the (pa, path, cycles) of each access, one counter dict per
+    phase and the final L1 as (vpn, frame) pairs. State carries across
+    phases; counters do not.
     """
     sets = l2_entries // ways
     l1 = []  # (vpn, frame)
@@ -110,7 +113,7 @@ def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
             count["total_cycles"] += cycles
             outcomes.append(((frame << 12) | (va & 0xFFF), path, cycles))
         counters.append(count)
-    return outcomes, counters
+    return outcomes, counters, l1
 
 
 def random_case(rng):
@@ -145,7 +148,17 @@ def random_case(rng):
             rng.randint(0, 3), rng.randint(0, 5), rng.randint(0, 40)
         ),
     )
-    return regions, (draw(rng.randint(0, 300)), draw(rng.randint(1, 600))), geometry
+    warmup = draw(rng.randint(0, 300))
+    if warmup and rng.random() < 0.3:
+        # only pages the warm-up leaves in the L1, so every access hits
+        l1 = {vpn for vpn, _ in reference_run(regions, (warmup,), **geometry)[2]}
+        resident = [va for va in pages if (va >> 12) & ((1 << 27) - 1) in l1]
+        measurement = [
+            rng.choice(resident) | rng.randrange(4096)
+            for _ in range(rng.randint(1, 600))
+        ]
+        return regions, (warmup, measurement), geometry
+    return regions, (warmup, draw(rng.randint(1, 600))), geometry
 
 
 def make_sim(regions, geometry):
@@ -162,9 +175,12 @@ def make_sim(regions, geometry):
 def test_engine_matches_reference_translator():
     rng = random.Random(2406)
     frame0 = set()  # (path, page size) of accesses that reached frame 0
+    all_hit = 0  # trials whose measurement phase is 2+ accesses, all L1 hits
     for trial in range(60):
         regions, phases, geometry = random_case(rng)
-        outcomes, counters = reference_run(regions, phases, **geometry)
+        outcomes, counters, l1 = reference_run(regions, phases, **geometry)
+        measured = counters[1]
+        all_hit += measured["l1_hits"] == measured["accesses"] >= 2
         for region in regions:
             if region.base_ppn == 0:
                 frame0.update(
@@ -185,6 +201,9 @@ def test_engine_matches_reference_translator():
         for name, want in zip(("warmup", "measurement"), counters):
             assert asdict(stats.phase(name)) == want, f"trial {trial}, {name}"
             assert asdict(stepped.stats.phase(name)) == want, f"trial {trial}"
+        for sim in (stepped, looped):
+            assert list(sim.l1.entries.items()) == l1, f"trial {trial}"
+    assert all_hit >= 10
     assert frame0 == {
         (path, size) for path in (L1_HIT, L2_HIT, WALK) for size in PageSize.ALL
     }

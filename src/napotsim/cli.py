@@ -17,7 +17,14 @@ from .sweep import (
     parse_size,
     run_sweep,
 )
-from .workloads import PATTERNS, WorkloadSpec, gen_trace, make_regions, write_trace
+from .workloads import (
+    DEFAULT_MEASURED_ACCESSES,
+    PATTERNS,
+    WorkloadSpec,
+    gen_trace,
+    make_regions,
+    write_trace,
+)
 
 
 def _build_parser():
@@ -48,8 +55,8 @@ def _build_parser():
     gen_p.add_argument("--pattern", choices=PATTERNS, required=True)
     gen_p.add_argument("--chunk-bytes", required=True, metavar="SIZE",
                        help="chunk size, e.g. 4096, 64K, 8M")
-    gen_p.add_argument("--accesses", type=int, default=1_000_000, metavar="N",
-                       help="measured accesses (default 1000000)")
+    gen_p.add_argument("--accesses", type=int, default=DEFAULT_MEASURED_ACCESSES,
+                       metavar="N", help="measured accesses (default %(default)s)")
     gen_p.add_argument("--seed", type=int, default=0, metavar="N")
     gen_p.add_argument("--base-va", default=hex(DEFAULT_BASE_VA), metavar="ADDR",
                        help="chunk base address (default %(default)s)")

@@ -157,12 +157,14 @@ class Simulation:
 
     def _run_phase(self, addresses, stats):
         l1_entries = self.l1.entries
+        total = len(addresses)
+        l1_hits = l2_hits = walks = walk_reads = 0
         # An LRU hit reorders the L1 but never evicts, so a phase that touches
         # only pages resident when it starts is n hits, and it leaves the
         # touched pages in last-touch order after the untouched ones. The
         # first access is tested alone so that most phases that miss skip
         # the scan.
-        if addresses and ((addresses[0] >> PAGE_SHIFT) & VPN_MASK) in l1_entries:
+        if total and ((addresses[0] >> PAGE_SHIFT) & VPN_MASK) in l1_entries:
             by_last_touch = dict.fromkeys(reversed(addresses))
             vpns = dict.fromkeys(
                 (va >> PAGE_SHIFT) & VPN_MASK for va in by_last_touch
@@ -172,49 +174,41 @@ class Simulation:
             ):
                 for vpn in reversed(vpns):
                     l1_entries.move_to_end(vpn)
-                total = len(addresses)
-                stats.accesses += total
-                stats.l1_hits += total
-                stats.total_cycles += total * self.latency.l1_hit_cycles
-                return
-        # the per-access reference path; names are bound locally because
-        # an attribute lookup per access is a large share of an L1 hit
-        l1_get = l1_entries.get
-        l1_move = l1_entries.move_to_end
-        l1_insert = self.l1.insert
-        l2_lookup = self.l2.lookup
-        l2_insert = self.l2.insert
-        root_ppn = self.root_ppn
-        mem = self.mem
-        ptw_cache = self.ptw_cache
-        l1_hits = 0
-        l2_hits = 0
-        walks = 0
-        walk_reads = 0
-        for va in addresses:
-            # inline sv39.check_canonical: a call per access costs too much here
-            high = va >> 38
-            if high != 0 and high != CANONICAL_HIGH:
-                raise CanonicalityError(
-                    f"va {va:#x} is not a canonical sv39 address"
-                )
-            vpn = (va >> PAGE_SHIFT) & VPN_MASK
-            if l1_get(vpn) is not None:
-                l1_move(vpn)
-                l1_hits += 1
-                continue
-            ppn = l2_lookup(vpn)
-            if ppn is not None:
-                l2_hits += 1
-                l1_insert(vpn, ppn)
-                continue
-            result = walk(root_ppn, mem, ptw_cache, va)
-            if result.faulted:
-                raise UnmappedAccessError(f"no mapping behind va {va:#x}")
-            walks += 1
-            walk_reads += result.memory_reads
-            l1_insert(vpn, l2_insert(vpn, result.pte))
-        total = len(addresses)
+                l1_hits = total
+        if l1_hits != total:
+            # the per-access reference path; names are bound locally because
+            # an attribute lookup per access is a large share of an L1 hit
+            l1_get = l1_entries.get
+            l1_move = l1_entries.move_to_end
+            l1_insert = self.l1.insert
+            l2_lookup = self.l2.lookup
+            l2_insert = self.l2.insert
+            root_ppn = self.root_ppn
+            mem = self.mem
+            ptw_cache = self.ptw_cache
+            for va in addresses:
+                # inline sv39.check_canonical: a call per access costs too much
+                high = va >> 38
+                if high != 0 and high != CANONICAL_HIGH:
+                    raise CanonicalityError(
+                        f"va {va:#x} is not a canonical sv39 address"
+                    )
+                vpn = (va >> PAGE_SHIFT) & VPN_MASK
+                if l1_get(vpn) is not None:
+                    l1_move(vpn)
+                    l1_hits += 1
+                    continue
+                ppn = l2_lookup(vpn)
+                if ppn is not None:
+                    l2_hits += 1
+                    l1_insert(vpn, ppn)
+                    continue
+                result = walk(root_ppn, mem, ptw_cache, va)
+                if result.faulted:
+                    raise UnmappedAccessError(f"no mapping behind va {va:#x}")
+                walks += 1
+                walk_reads += result.memory_reads
+                l1_insert(vpn, l2_insert(vpn, result.pte))
         l1_misses = total - l1_hits
         latency = self.latency
         stats.accesses += total

@@ -1,8 +1,9 @@
 """Synthetic sv39 page tables in simulated physical memory, plus the walker.
 
 Simulated memory is a plain dict from the byte address of each 64-bit word
-to that word; unwritten words read as zero. build_page_tables lays out a
-three-level radix tree of raw PTE words in it for a list of mapped regions.
+to that word; unwritten words read as zero. table_frames decides which
+frame holds each table of the three-level radix tree for a list of mapped
+regions, and build_page_tables writes the tree's raw PTE words there.
 4KB regions get one level-0 leaf per page; 64KB regions get 16 identical
 NAPOT leaves per group, since every slot of a group must carry the marked
 entry. walk traverses the tree through a small LRU cache of non-leaf PTEs
@@ -12,8 +13,9 @@ and reports how many memory reads it cost.
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .errors import AlignmentError, CanonicalityError, RegionOverlapError, SuperpageError
+from .errors import AlignmentError, RegionOverlapError, SuperpageError
 from .sv39 import (
+    LEVEL_BITS,
     LEVEL_MASK,
     NAPOT_OFFSET_MASK,
     NAPOT_PAGES,
@@ -67,11 +69,9 @@ class RegionSpec:
             raise AlignmentError(
                 f"base ppn {self.base_ppn:#x} not aligned to a 16-frame group"
             )
-        # the region must not cross into non-canonical space
-        end = self.base_va + self.length - 1
-        check_canonical(end)
-        if (end >> 38) != (self.base_va >> 38):
-            raise CanonicalityError("region crosses the canonical address hole")
+        # both ends canonical puts the region in one half: reaching the
+        # other half takes over 2**52 frames, past the range checked above
+        check_canonical(self.base_va + self.length - 1)
 
     @property
     def end_va(self):
@@ -128,41 +128,52 @@ class PtwCache:
 
 
 def table_frames(regions):
-    """Frames for the root, one table per distinct 1GB slot and one per
-    distinct 2MB slot the regions span, right above the regions' own frames.
+    """The page-table layout for the regions: (root, tables).
+
+    tables maps each pointer's walk-cache key, (vpn >> 9*L) << 2 | L, to the
+    frame of the table it points to. The root sits right above the regions'
+    own frames, and the tables follow it over the distinct 2MB slots in VA
+    order, each 1GB slot's table before its first level-0 table.
 
     A frame past the 44-bit PPN range raises ValueError: a pointer PTE
     cannot hold it.
     """
-    first = max((r.base_ppn + r.num_pages for r in regions), default=0)
-    end = first + 1
-    for shift in (18, 9):
-        slots = set()
-        for r in regions:
-            low = (r.base_va >> PAGE_SHIFT) & VPN_MASK
-            high = ((r.end_va - 1) >> PAGE_SHIFT) & VPN_MASK
-            slots.update(range(low >> shift, (high >> shift) + 1))
-        end += len(slots)
-    if end - 1 > PPN_MASK:
+    root = max((r.base_ppn + r.num_pages for r in regions), default=0)
+    slots = set()
+    for r in regions:
+        low = (r.base_va >> PAGE_SHIFT) & VPN_MASK
+        high = ((r.end_va - 1) >> PAGE_SHIFT) & VPN_MASK
+        slots.update(range(low >> LEVEL_BITS, (high >> LEVEL_BITS) + 1))
+    tables = {}
+    for slot in sorted(slots):
+        for key in (((slot >> LEVEL_BITS) << 2) | 2, (slot << 2) | 1):
+            tables.setdefault(key, root + 1 + len(tables))
+    if root + len(tables) > PPN_MASK:
         raise ValueError(
-            f"page-table frame {max(first, PPN_MASK + 1):#x} "
+            f"page-table frame {max(root, PPN_MASK + 1):#x} "
             "is past the 44-bit PPN range"
         )
-    return range(first, end)
+    return root, tables
 
 
 def build_page_tables(regions):
     """Construct the radix tree for the regions; returns (memory, root frame).
 
-    Tables take the frames of table_frames(regions) in order: the root, then
-    each table when the first page under it is mapped. Leaves are R+W.
-    Each 2MB slot's leaves go in with one dict update, in page order.
+    The tables sit in the frames table_frames(regions) gives them. The
+    pointer words go in first, then each 2MB slot's leaves with one dict
+    update, in page order. Leaves are R+W.
     """
     regions = validate_regions(regions)
-    alloc = iter(table_frames(regions)).__next__
+    root, tables = table_frames(regions)
     mem = {}
-    root = alloc()
-    tables = {}  # walk-cache key of each pointer -> the table it points to
+    for key, frame in tables.items():
+        # a level-2 pointer sits in the root, a level-1 one in its 1GB
+        # slot's table; either way at the low 9 bits of its VPN prefix
+        prefix, level = key >> 2, key & 3
+        parent = root if level == 2 else tables[((prefix >> LEVEL_BITS) << 2) | 2]
+        mem[(parent << PAGE_SHIFT) | ((prefix & LEVEL_MASK) << 3)] = (
+            (frame << PTE_PPN_SHIFT) | PTE_V
+        )
     for region in regions:
         base_vpn = (region.base_va >> PAGE_SHIFT) & VPN_MASK
         napot = region.page_size == PageSize.PAGE_64K
@@ -172,18 +183,7 @@ def build_page_tables(regions):
             vpn = base_vpn + i
             # pages i..end-1 share vpn's 2MB slot and so its level-0 table
             end = min(region.num_pages, i + LEVEL_MASK + 1 - (vpn & LEVEL_MASK))
-            # find that table, adding the missing tables and pointers on the way
-            table = root
-            for level in (2, 1):
-                shift = 9 * level
-                key = ((vpn >> shift) << 2) | level
-                if key not in tables:
-                    tables[key] = alloc()
-                    slot = ((vpn >> shift) & LEVEL_MASK) << 3
-                    mem[(table << PAGE_SHIFT) | slot] = (
-                        (tables[key] << PTE_PPN_SHIFT) | PTE_V
-                    )
-                table = tables[key]
+            table = tables[((vpn >> LEVEL_BITS) << 2) | 1]
             first = (table << PAGE_SHIFT) | ((vpn & LEVEL_MASK) << 3)
             addresses = range(first, first + ((end - i) << 3), 8)
             # a leaf word grows by 1 << PTE_PPN_SHIFT per frame: the flags

@@ -58,7 +58,7 @@ def is_canonical(va):
 
 
 def check_canonical(va):
-    if va < 0 or va >= (1 << 64) or not is_canonical(va):
+    if not is_canonical(va):
         raise CanonicalityError(f"va {va:#x} is not a canonical sv39 address")
 
 

@@ -26,6 +26,7 @@ from .tlb import L1_ENTRIES, L2_ENTRIES, L1Dtlb, L2Tlb
 from .workloads import (
     CHUNK_MAX_BYTES,
     CHUNK_MIN_BYTES,
+    DEFAULT_MEASURED_ACCESSES,
     PATTERNS,
     WorkloadSpec,
     gen_trace,
@@ -69,7 +70,7 @@ class ExperimentConfig:
     configs: tuple = DEFAULT_CONFIGS
     chunk_min_bytes: int = CHUNK_MIN_BYTES
     chunk_max_bytes: int = CHUNK_MAX_BYTES
-    measured_accesses: int = 1_000_000
+    measured_accesses: int = DEFAULT_MEASURED_ACCESSES
     seed: int = 0
     replacement: str = "lru"
     latency: LatencyModel = field(default_factory=LatencyModel)
@@ -281,8 +282,7 @@ def parse_size(text):
 
 
 def _parse_patterns(text):
-    parts = [p.strip() for p in text.replace("+", ",").split(",") if p.strip()]
-    return tuple(parts)
+    return tuple(p.strip() for p in text.split("+") if p.strip())
 
 
 def _parse_config_row(key, text):
@@ -296,7 +296,10 @@ def _parse_config_row(key, text):
         if not part:
             continue
         if "=" not in part:
-            raise ValueError(f"cannot parse {part!r}")
+            raise ValueError(
+                f"cannot parse {part!r}: fields are name=value, "
+                "and patterns are joined with '+'"
+            )
         name, _, value = part.partition("=")
         name = name.strip()
         if name in values:
@@ -306,7 +309,7 @@ def _parse_config_row(key, text):
     if unknown:
         raise ValueError(f"unknown fields {sorted(unknown)}")
     try:
-        ways = int(values["ways"])
+        ways = _PARSERS[int](values["ways"])
         page_name = values["page"].upper()
         patterns = _parse_patterns(values.get("patterns", "linear"))
     except KeyError as missing:

@@ -136,12 +136,6 @@ class L1Dtlb:
         # vpn -> ppn, oldest first; engine hot loop reads this
         self.entries = OrderedDict()
 
-    def lookup(self, vpn):
-        hit = self.entries.get(vpn)
-        if hit is not None:
-            self.entries.move_to_end(vpn)
-        return hit
-
     def insert(self, vpn, ppn):
         entries = self.entries
         if vpn in entries:

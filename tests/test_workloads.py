@@ -33,8 +33,11 @@ def test_spec_validation():
         WorkloadSpec(2 << 10, "linear")  # below 4KB
     with pytest.raises(ValueError):
         WorkloadSpec(512 << 20, "linear")  # above 256MB
-    with pytest.raises(ValueError):
-        WorkloadSpec(KB4, "linear", page_size=8192)
+    # the page size is RegionSpec's rule, met where make_regions builds one
+    for page_size in (8192, 0):
+        spec = WorkloadSpec(KB4, "linear", page_size=page_size)
+        with pytest.raises(ValueError, match=f"unsupported page size {page_size}$"):
+            make_regions(spec, BASE, 0x1000)
     for pattern in ("linear", "random"):
         with pytest.raises(ValueError, match="^seed must be non-negative"):
             WorkloadSpec(KB4, pattern, seed=-5)

@@ -45,7 +45,7 @@ from .sweep import (
     run_cell,
     run_sweep,
 )
-from .tlb import L1Dtlb, L2Tlb
+from .tlb import L1Dtlb, L2Tlb, LruCache
 from .workloads import (
     AccessTrace,
     WorkloadSpec,

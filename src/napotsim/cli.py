@@ -87,8 +87,6 @@ def _cmd_run(args):
         config = replace(config, seed=args.seed).validate()
     if args.include_warmup:
         config = replace(config, include_warmup=True)
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
     out_path = args.out if args.out else config.out_path
     _check_out_path(out_path)
     if args.plotdata:

@@ -149,7 +149,7 @@ class Simulation:
         self.phase = WARMUP
         self._run_phase(trace.warmup, self.stats.warmup)
         if self.flush_ptw_between_phases:
-            self.ptw_cache.flush()
+            self.ptw_cache.clear()
         self.phase = MEASUREMENT
         self._run_phase(trace.measurement, self.stats.measurement)
         self.stats.check(self.latency)

@@ -10,7 +10,6 @@ entry. walk traverses the tree through a small LRU cache of non-leaf PTEs
 and reports how many memory reads it cost.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import AlignmentError, RegionOverlapError, SuperpageError
@@ -35,6 +34,7 @@ from .sv39 import (
     check_napot_shape,
     decode_pte,  # noqa: F401  re-exported; napotbench's tracer wraps it here
 )
+from .tlb import LruCache
 
 PTW_CACHE_ENTRIES = 8
 
@@ -92,39 +92,25 @@ def validate_regions(regions):
     return ordered
 
 
-class PtwCache:
+class PtwCache(LruCache):
     """Fully associative LRU cache of raw non-leaf PTEs under int keys.
 
     walk keys the pointer found at level L by (VPN >> 9*L) << 2 | L, so
     the VPN prefixes of the two levels never collide."""
 
     def __init__(self, capacity=PTW_CACHE_ENTRIES):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._entries = OrderedDict()
+        super().__init__(capacity)
 
     def get(self, key):
-        pte = self._entries.get(key)
+        pte = self.entries.get(key)
         if pte is not None:
-            self._entries.move_to_end(key)
+            self.entries.move_to_end(key)
         return pte
 
     def put(self, key, pte):
         if not pte & PTE_V or pte & PTE_RWX:
             raise ValueError("only valid non-leaf PTEs belong in the walk cache")
-        entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
-        elif len(entries) >= self.capacity:
-            entries.popitem(last=False)
-        entries[key] = pte
-
-    def flush(self):
-        self._entries.clear()
-
-    def __len__(self):
-        return len(self._entries)
+        self.insert(key, pte)
 
 
 def table_frames(regions):

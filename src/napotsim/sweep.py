@@ -212,6 +212,8 @@ def run_sweep(config, jobs=1):
     process; more jobs spread them over a pool of at most one worker per
     task.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     config.validate()
     points = {}
     # largest chunks first, so a pool does not end on its longest tasks
@@ -254,11 +256,9 @@ def emit_plotdata(rows, path):
                 "pattern": key[1],
                 "x": [math.log2(p.chunk_bytes / 1024) for p in points],
                 "chunk_bytes": [p.chunk_bytes for p in points],
-                "l1_misses": [p.l1_misses for p in points],
-                "l2_hits": [p.l2_hits for p in points],
-                "l2_misses": [p.l2_misses for p in points],
-                "walks": [p.walks for p in points],
-                "total_cycles": [p.total_cycles for p in points],
+                # every counter, named once by PhaseStats as in ResultRow
+                **{c.name: [getattr(p, c.name) for p in points]
+                   for c in fields(PhaseStats)},
             }
         )
     with open(path, "w") as f:

@@ -1,4 +1,5 @@
-"""L1 DTLB and the set-associative L2 TLB that collocates 4KB and 64KB entries.
+"""The L1 DTLB, the LRU cache it shares with the walk cache, and the
+set-associative L2 TLB that collocates 4KB and 64KB entries.
 
 The L2 set index drops the low 4 VPN bits before taking the set bits, so the
 16 pages of a 64KB group all land in one set and the same indexing works for
@@ -105,11 +106,11 @@ class L2Tlb:
         vpn = (va >> PAGE_SHIFT) & VPN_MASK
         self._sets[(vpn >> NAPOT_SHIFT) & self.set_mask].clear()
 
-    def flush_all(self):
+    def clear(self):
         for entries in self._sets:
             entries.clear()
 
-    def occupancy(self):
+    def __len__(self):
         return sum(len(entries) for entries in self._sets)
 
     def dump(self):
@@ -126,26 +127,35 @@ class L2Tlb:
         return out
 
 
-class L1Dtlb:
-    """Small fully associative DTLB: exact 4KB VPNs only, true LRU."""
+class LruCache:
+    """Fully associative true-LRU map; entries runs from oldest to newest."""
 
-    def __init__(self, capacity=L1_ENTRIES):
+    def __init__(self, capacity):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        # vpn -> ppn, oldest first; engine hot loop reads this
         self.entries = OrderedDict()
 
-    def insert(self, vpn, ppn):
+    def insert(self, key, value):
+        """Store key as the newest entry; a new key evicts the oldest if full."""
         entries = self.entries
-        if vpn in entries:
-            entries.move_to_end(vpn)
+        if key in entries:
+            entries.move_to_end(key)
         elif len(entries) >= self.capacity:
             entries.popitem(last=False)
-        entries[vpn] = ppn
+        entries[key] = value
 
-    def flush_all(self):
+    def clear(self):
         self.entries.clear()
 
     def __len__(self):
         return len(self.entries)
+
+
+class L1Dtlb(LruCache):
+    """Small fully associative DTLB: exact 4KB VPNs only, true LRU.
+
+    entries maps VPN to PPN; the engine's hot loop probes it inline."""
+
+    def __init__(self, capacity=L1_ENTRIES):
+        super().__init__(capacity)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import PHASES
 from .pagetable import RegionSpec
 from .sv39 import PAGE_BYTES, PAGE_SHIFT, PageSize, is_canonical
 
@@ -86,12 +87,10 @@ def make_regions(spec, base_va, base_ppn):
 def write_trace(trace, path):
     """Write a trace as hex addresses, one per line, with phase markers."""
     with open(path, "w") as f:
-        f.write("# phase: warmup\n")
-        for va in trace.warmup:
-            f.write(f"{va:#x}\n")
-        f.write("# phase: measurement\n")
-        for va in trace.measurement:
-            f.write(f"{va:#x}\n")
+        for phase in PHASES:
+            f.write(f"# phase: {phase}\n")
+            for va in getattr(trace, phase):
+                f.write(f"{va:#x}\n")
 
 
 def read_trace(path):
@@ -100,7 +99,7 @@ def read_trace(path):
     A malformed line, or a value that is not a canonical sv39 address,
     raises ValueError naming its line number and text.
     """
-    phases = {"warmup": [], "measurement": []}
+    phases = {phase: [] for phase in PHASES}
     current = None
     with open(path) as f:
         for number, line in enumerate(f, 1):
@@ -130,4 +129,4 @@ def read_trace(path):
                     f"line {number}: {line!r} is not a canonical sv39 address"
                 )
             current.append(va)
-    return AccessTrace(phases["warmup"], phases["measurement"])
+    return AccessTrace(**phases)

@@ -1,10 +1,10 @@
 """End-to-end acceptance checks over the default experiment grid.
 
 Each test prints one PASS/FAIL line (run with -s to see them on success).
-The grid fixture runs the full default sweep once (about two to three
-minutes); the determinism check at the end runs it a second time, through
-a two-worker pool, so it also checks that the pooled sweep matches the
-serial one.
+The grid fixture runs the full default sweep once (192 s on a 2-core
+host); the determinism check at the end runs it a second time, through a
+two-worker pool (101 s), so it also checks that the pooled sweep matches
+the serial one.
 
 Numbered checks:
  1. L1 reach: config 2 linear serves every measured access from L1 up to
@@ -206,7 +206,7 @@ def test_07_oracle_equivalence():
                 problems.append(f"va {target:#x}: {out.pa:#x} != {expected:#x}")
                 break
             if rng.random() < 0.02:
-                sim.l1.flush_all()
+                sim.l1.clear()
     if sizes_seen != {PageSize.PAGE_4K, PageSize.PAGE_64K}:
         problems.append("both page sizes were not exercised")
     for path, count in paths.items():
@@ -223,8 +223,8 @@ def test_08_napot_differential():
     for _ in range(1000):
         base_frame = rng.getrandbits(40) & ~0xF
         group_vpn = rng.getrandbits(27) & ~0xF
-        napot_tlb.flush_all()
-        discrete_tlb.flush_all()
+        napot_tlb.clear()
+        discrete_tlb.clear()
         napot_tlb.insert(group_vpn | rng.randrange(16), napot_leaf(base_frame))
         for k in range(16):
             discrete_tlb.insert(group_vpn | k, leaf(base_frame + k))

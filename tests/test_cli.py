@@ -95,7 +95,7 @@ def test_run_uses_config_out_path(tmp_path, monkeypatch):
 
 def test_run_rejects_bad_jobs(small_ini, capsys):
     assert main(["run", "--config", str(small_ini), "--jobs", "0"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: jobs must be at least 1, not 0" in capsys.readouterr().err
 
 
 def test_run_rejects_missing_config(tmp_path, capsys):

@@ -325,8 +325,8 @@ def test_l1_refill_from_napot_entry_is_4k():
 def test_l2_flush_forces_walk_but_keeps_counters_consistent():
     sim = sim_4k()
     sim.translate(BASE_VA)
-    sim.l1.flush_all()
-    sim.l2.flush_all()
+    sim.l1.clear()
+    sim.l2.clear()
     out = sim.translate(BASE_VA)
     assert out.path == WALK
     # the second walk rides the PTW cache: only the leaf read

@@ -418,10 +418,10 @@ def test_walk_flush_restores_cold_cost():
     cache = PtwCache()
     assert walk(root, mem, cache, 0x4000_0000).memory_reads == 3
     assert walk(root, mem, cache, 0x4000_1000).memory_reads == 1
-    cache.flush()
+    cache.clear()
     assert walk(root, mem, cache, 0x4000_2000).memory_reads == 3
-    cache.flush()
-    cache.flush()  # idempotent
+    cache.clear()
+    cache.clear()  # idempotent
     assert len(cache) == 0
 
 

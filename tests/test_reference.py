@@ -7,11 +7,14 @@ change to any of them that moves a PA, a path, a cycle or a counter shows
 up here. The cases cover what the default grid never produces: several
 regions mixing 4KB and 64KB pages in one Simulation (so both entry kinds
 share L2 sets), upper-half canonical VAs, and L1, L2 and walk-cache sizes
-down to one entry. Replacement is LRU throughout. A region in slot 0 maps
-from frame 0, which the TLBs must treat as a hit like any other frame; the
-test checks that each path meets frame 0 at both page sizes. Some
-measurement phases touch only pages the warm-up left in the L1, which the
-engine applies in bulk; the final L1 order is checked too.
+down to one entry. The L1 and the walk cache are LRU; the L2 is LRU or
+random, and for random the reference replays the L2's randrange draws
+from its own random.Random(seed). A region in slot 0 maps from frame 0,
+which the TLBs must treat as a hit like any other frame; the test checks
+that each path meets frame 0 at both page sizes. Some measurement phases
+touch only pages the warm-up left in the L1, which the engine applies in
+bulk. The final order of the L1, of each L2 set and of the walk cache is
+checked too.
 """
 
 import random
@@ -42,14 +45,16 @@ COUNTERS = (
 
 
 def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
-                  latency):
-    """Translate every access of every phase; LRU lists, oldest first.
+                  latency, replacement, seed):
+    """Translate every access of every phase; lists run oldest first.
 
     Returns the (pa, path, cycles) of each access, one counter dict per
-    phase and the final L1 as (vpn, frame) pairs. State carries across
-    phases; counters do not.
+    phase, and the final state: the L1 as (vpn, frame) pairs, the occupied
+    L2 sets in L2Tlb.dump()'s form and the walk-cache keys. State carries
+    across phases; counters do not.
     """
     sets = l2_entries // ways
+    rng = random.Random(seed)
     l1 = []  # (vpn, frame)
     l2 = [[] for _ in range(sets)]  # (vpn or group tag, napot?, frame base)
     ptw = []  # (level, vpn prefix) of cached non-leaf entries
@@ -104,7 +109,8 @@ def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
                     tag = vpn // 16 if napot else vpn
                     entry = (tag, napot, frame - (vpn % 16 if napot else 0))
                     if len(ways_list) == ways:
-                        ways_list.pop(0)
+                        random_victim = replacement == "random"
+                        ways_list.pop(rng.randrange(ways) if random_victim else 0)
                     ways_list.append(entry)
                     path = WALK
                 l1.append((vpn, frame))
@@ -113,7 +119,14 @@ def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
             count["total_cycles"] += cycles
             outcomes.append(((frame << 12) | (va & 0xFFF), path, cycles))
         counters.append(count)
-    return outcomes, counters, l1
+    # a NAPOT entry holds its leaf's PPN: the group base with the 0b1000 mark
+    l2_dump = {
+        index: [(tag, base | 0b1000 if napot else base, napot)
+                for tag, napot, base in ways_list]
+        for index, ways_list in enumerate(l2) if ways_list
+    }
+    ptw_keys = [(prefix << 2) | level for level, prefix in ptw]
+    return outcomes, counters, (l1, l2_dump, ptw_keys)
 
 
 def random_case(rng):
@@ -144,6 +157,8 @@ def random_case(rng):
         l2_entries=ways * rng.choice((1, 2, 4, 16)),
         ways=ways,
         ptw_entries=rng.choice((1, 2, 8)),
+        replacement=rng.choice(("lru", "random")),
+        seed=rng.randrange(1 << 16),
         latency=LatencyModel(
             rng.randint(0, 3), rng.randint(0, 5), rng.randint(0, 40)
         ),
@@ -151,7 +166,7 @@ def random_case(rng):
     warmup = draw(rng.randint(0, 300))
     if warmup and rng.random() < 0.3:
         # only pages the warm-up leaves in the L1, so every access hits
-        l1 = {vpn for vpn, _ in reference_run(regions, (warmup,), **geometry)[2]}
+        l1 = {vpn for vpn, _ in reference_run(regions, (warmup,), **geometry)[2][0]}
         resident = [va for va in pages if (va >> 12) & ((1 << 27) - 1) in l1]
         measurement = [
             rng.choice(resident) | rng.randrange(4096)
@@ -169,6 +184,8 @@ def make_sim(regions, geometry):
         l1_entries=geometry["l1_entries"],
         ptw_cache_entries=geometry["ptw_entries"],
         latency=geometry["latency"],
+        replacement=geometry["replacement"],
+        seed=geometry["seed"],
     )
 
 
@@ -176,11 +193,18 @@ def test_engine_matches_reference_translator():
     rng = random.Random(2406)
     frame0 = set()  # (path, page size) of accesses that reached frame 0
     all_hit = 0  # trials whose measurement phase is 2+ accesses, all L1 hits
+    random_evicted = 0  # random-policy trials that evicted from the L2
     for trial in range(60):
         regions, phases, geometry = random_case(rng)
-        outcomes, counters, l1 = reference_run(regions, phases, **geometry)
+        outcomes, counters, (l1, l2, ptw) = reference_run(
+            regions, phases, **geometry
+        )
         measured = counters[1]
         all_hit += measured["l1_hits"] == measured["accesses"] >= 2
+        # every walk inserts a new L2 entry, and only an eviction drops one
+        inserted = sum(count["walks"] for count in counters)
+        random_evicted += (geometry["replacement"] == "random"
+                           and inserted > sum(map(len, l2.values())))
         for region in regions:
             if region.base_ppn == 0:
                 frame0.update(
@@ -203,7 +227,10 @@ def test_engine_matches_reference_translator():
             assert asdict(stepped.stats.phase(name)) == want, f"trial {trial}"
         for sim in (stepped, looped):
             assert list(sim.l1.entries.items()) == l1, f"trial {trial}"
+            assert sim.l2.dump() == l2, f"trial {trial}"
+            assert list(sim.ptw_cache.entries) == ptw, f"trial {trial}"
     assert all_hit >= 10
+    assert random_evicted >= 20
     assert frame0 == {
         (path, size) for path in (L1_HIT, L2_HIT, WALK) for size in PageSize.ALL
     }

@@ -211,6 +211,14 @@ def test_run_sweep_pool_capped_at_grid_points(monkeypatch):
     assert rows == run_sweep(config, jobs=1)
 
 
+def test_run_sweep_rejects_bad_jobs(monkeypatch):
+    # the rule is run_sweep's own, checked before any grid point runs
+    monkeypatch.setattr(sweep, "_run_point", None)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, not {jobs}"):
+            run_sweep(small_config(), jobs=jobs)
+
+
 def test_emit_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv([], path)
@@ -245,6 +253,11 @@ def test_emit_plotdata(tmp_path):
     assert len(doc["series"]) == 3  # (1, linear), (2, linear), (2, random)
     series = doc["series"][0]
     assert series["config_id"] == 1 and series["pattern"] == "linear"
+    assert set(series) == {
+        "config_id", "pattern", "x", "chunk_bytes", "accesses", "l1_hits",
+        "l1_misses", "l2_hits", "l2_misses", "walks", "walk_memory_reads",
+        "total_cycles",
+    }
     assert series["x"] == [math.log2(c / 1024) for c in (4096, 8192, 16384)]
     assert len(series["l2_misses"]) == 3
     # warm-up rows stay out of the plot data

@@ -71,7 +71,7 @@ def test_l2_geometry_validation():
 def test_l2_miss_on_empty():
     tlb = L2Tlb()
     assert tlb.lookup(0x1234) is None
-    assert tlb.occupancy() == 0
+    assert len(tlb) == 0
 
 
 def test_l2_4k_entry_exact_match():
@@ -80,7 +80,7 @@ def test_l2_4k_entry_exact_match():
     assert tlb.lookup(0x1230) == 0x200
     # same group, different page: a 4KB entry does not cover neighbors
     assert tlb.lookup(0x1231) is None
-    assert tlb.occupancy() == 1
+    assert len(tlb) == 1
 
 
 def test_l2_napot_entry_covers_group():
@@ -91,7 +91,7 @@ def test_l2_napot_entry_covers_group():
     for k in range(16):
         assert tlb.lookup(0x1230 | k) == frames[k]
     assert tlb.lookup(0x1240) is None  # next group
-    assert tlb.occupancy() == 1
+    assert len(tlb) == 1
 
 
 def test_l2_4k_entry_wins_before_napot_probe():
@@ -119,7 +119,7 @@ def test_l2_lru_eviction_within_set():
     assert tlb.lookup(vpns[0]) is None
     for vpn in vpns[1:]:
         assert tlb.lookup(vpn) == 0x100 + vpn
-    assert tlb.occupancy() == 4
+    assert len(tlb) == 4
 
 
 def test_l2_lookup_refreshes_lru():
@@ -139,7 +139,7 @@ def test_l2_reinsert_refreshes_in_place():
     for vpn in vpns:
         tlb.insert(vpn, leaf(0x100 + vpn))
     tlb.insert(vpns[0], leaf(0x100 + vpns[0]))
-    assert tlb.occupancy() == 4
+    assert len(tlb) == 4
     tlb.insert(5 * 16 * 256, leaf(0x900))
     assert tlb.lookup(vpns[0]) is not None
     assert tlb.lookup(vpns[1]) is None
@@ -151,7 +151,7 @@ def test_l2_mixed_sizes_share_a_set():
     tlb.insert(0, napot_leaf(0x80010))
     for k in range(1, 4):
         tlb.insert(k * 16 * 256, leaf(0x100 + k))
-    assert tlb.occupancy() == 4
+    assert len(tlb) == 4
     tlb.insert(4 * 16 * 256, leaf(0x500))
     # the NAPOT entry was oldest and lost its whole 64KB of reach
     assert tlb.lookup(0) is None
@@ -180,9 +180,9 @@ def test_l2_flush_all():
     tlb = L2Tlb(1024, 4)
     for k in range(64):
         tlb.insert(k * 16, leaf(0x100 + k))
-    tlb.flush_all()
-    assert tlb.occupancy() == 0
-    tlb.flush_all()  # idempotent
+    tlb.clear()
+    assert len(tlb) == 0
+    tlb.clear()  # idempotent
 
 
 def test_l2_sixteen_way_reach_with_4k_pages():
@@ -191,7 +191,7 @@ def test_l2_sixteen_way_reach_with_4k_pages():
     tlb = L2Tlb(1024, 16)
     for vpn in range(1024):
         tlb.insert(vpn, leaf(0x1000 + vpn))
-    assert tlb.occupancy() == 1024
+    assert len(tlb) == 1024
     for vpn in range(1024):
         assert tlb.lookup(vpn) == 0x1000 + vpn
 
@@ -201,7 +201,7 @@ def test_l2_sixteen_way_reach_with_napot_pages():
     tlb = L2Tlb(1024, 16)
     for group in range(1024):
         tlb.insert(group * 16, napot_leaf(0x10000 + group * 16))
-    assert tlb.occupancy() == 1024
+    assert len(tlb) == 1024
     for group in range(1024):
         vpn = group * 16 + (group % 16)
         assert tlb.lookup(vpn) == 0x10000 + vpn
@@ -249,6 +249,6 @@ def test_l1_lru_eviction():
 def test_l1_flush_all():
     tlb = L1Dtlb()
     tlb.insert(1, 1)
-    tlb.flush_all()
+    tlb.clear()
     assert 1 not in tlb.entries
     assert len(tlb) == 0

@@ -14,6 +14,7 @@ from .sweep import (
     emit_csv,
     emit_plotdata,
     load_config,
+    parse_int,
     parse_size,
     run_sweep,
 )
@@ -44,9 +45,9 @@ def _build_parser():
                        help="CSV output path (default from config)")
     run_p.add_argument("--plotdata", metavar="PATH",
                        help="also write per-series plot data as JSON")
-    run_p.add_argument("--jobs", type=int, default=1, metavar="N",
+    run_p.add_argument("--jobs", type=parse_int, default=1, metavar="N",
                        help="worker processes (default 1)")
-    run_p.add_argument("--seed", type=int, metavar="N",
+    run_p.add_argument("--seed", type=parse_int, metavar="N",
                        help="override the sweep seed")
     run_p.add_argument("--include-warmup", action="store_true",
                        help="keep warm-up rows in the CSV")
@@ -55,9 +56,9 @@ def _build_parser():
     gen_p.add_argument("--pattern", choices=PATTERNS, required=True)
     gen_p.add_argument("--chunk-bytes", required=True, metavar="SIZE",
                        help="chunk size, e.g. 4096, 64K, 8M")
-    gen_p.add_argument("--accesses", type=int, default=DEFAULT_MEASURED_ACCESSES,
+    gen_p.add_argument("--accesses", type=parse_int, default=DEFAULT_MEASURED_ACCESSES,
                        metavar="N", help="measured accesses (default %(default)s)")
-    gen_p.add_argument("--seed", type=int, default=0, metavar="N")
+    gen_p.add_argument("--seed", type=parse_int, default=0, metavar="N")
     gen_p.add_argument("--base-va", default=hex(DEFAULT_BASE_VA), metavar="ADDR",
                        help="chunk base address (default %(default)s)")
     gen_p.add_argument("--out", required=True, metavar="PATH")
@@ -117,9 +118,12 @@ def _flag_value(flag, parse, text):
 
 
 def _cmd_gen_trace(args):
-    chunk = _flag_value("--chunk-bytes", parse_size, args.chunk_bytes)
-    base_va = _flag_value("--base-va", lambda text: int(text, 0), args.base_va)
-    spec = WorkloadSpec(chunk, args.pattern)
+    spec = _flag_value(
+        "--chunk-bytes",
+        lambda text: WorkloadSpec(parse_size(text), args.pattern),
+        args.chunk_bytes,
+    )
+    base_va = _flag_value("--base-va", parse_int, args.base_va)
     spec = _flag_value("--seed", lambda seed: replace(spec, seed=seed), args.seed)
     spec = _flag_value(
         "--accesses",

@@ -14,7 +14,8 @@ import json
 import math
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields
+from typing import NewType
 
 import numpy as np
 
@@ -44,7 +45,10 @@ CSV_HEADER = ",".join(ResultRow._fields)
 DEFAULT_BASE_VA = 0x4000_0000
 DEFAULT_BASE_PPN = 0x10_0000
 
-_PAGE_NAMES = {"4K": PageSize.PAGE_4K, "64K": PageSize.PAGE_64K}
+# field types that pick their own INI parser: a byte count, and patterns
+# joined with '+'
+Size = NewType("Size", int)
+Patterns = NewType("Patterns", tuple)
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,8 @@ class TlbConfig:
 
     config_id: int
     ways: int
-    page_size: int
-    patterns: tuple
+    page_size: Size
+    patterns: Patterns = ("linear",)
 
 
 DEFAULT_CONFIGS = (
@@ -68,8 +72,8 @@ DEFAULT_CONFIGS = (
 @dataclass(frozen=True)
 class ExperimentConfig:
     configs: tuple = DEFAULT_CONFIGS
-    chunk_min_bytes: int = CHUNK_MIN_BYTES
-    chunk_max_bytes: int = CHUNK_MAX_BYTES
+    chunk_min_bytes: Size = CHUNK_MIN_BYTES
+    chunk_max_bytes: Size = CHUNK_MAX_BYTES
     measured_accesses: int = DEFAULT_MEASURED_ACCESSES
     seed: int = 0
     replacement: str = "lru"
@@ -266,8 +270,13 @@ def emit_plotdata(rows, path):
         f.write("\n")
 
 
+def parse_int(text):
+    """Parse an int written as a Python literal: decimal, or 0x/0o/0b."""
+    return int(text, 0)
+
+
 def parse_size(text):
-    """Parse a byte count: plain int (decimal or 0x hex) or K/M/G suffix."""
+    """Parse a byte count: an int as parse_int reads it, or a K/M/G suffix."""
     s = str(text).strip().upper()
     if s.endswith("B"):
         s = s[:-1]
@@ -276,47 +285,13 @@ def parse_size(text):
         multiplier = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}[s[-1]]
         s = s[:-1]
     try:
-        return int(s, 0) * multiplier
+        return parse_int(s) * multiplier
     except ValueError:
         raise ConfigError(f"cannot parse size {text!r}") from None
 
 
 def _parse_patterns(text):
     return tuple(p.strip() for p in text.split("+") if p.strip())
-
-
-def _parse_config_row(key, text):
-    try:
-        config_id = int(key)
-    except ValueError:
-        raise ValueError("config id is not an int") from None
-    values = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(
-                f"cannot parse {part!r}: fields are name=value, "
-                "and patterns are joined with '+'"
-            )
-        name, _, value = part.partition("=")
-        name = name.strip()
-        if name in values:
-            raise ValueError(f"field {name!r} given twice")
-        values[name] = value.strip()
-    unknown = set(values) - {"ways", "page", "patterns"}
-    if unknown:
-        raise ValueError(f"unknown fields {sorted(unknown)}")
-    try:
-        ways = _PARSERS[int](values["ways"])
-        page_name = values["page"].upper()
-        patterns = _parse_patterns(values.get("patterns", "linear"))
-    except KeyError as missing:
-        raise ValueError(f"missing field {missing}") from None
-    if page_name not in _PAGE_NAMES:
-        raise ValueError(f"unknown page size {page_name!r}")
-    return TlbConfig(config_id, ways, _PAGE_NAMES[page_name], patterns)
 
 
 def _parse_bool(text):
@@ -326,36 +301,59 @@ def _parse_bool(text):
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-# a scalar field's type picks its INI parser
-_PARSERS = {bool: _parse_bool, int: lambda text: int(text, 0), str: str.strip}
-# INI keys that differ from their ExperimentConfig field names
-_SWEEP_KEYS = {"chunk_min_bytes": "chunk_min", "chunk_max_bytes": "chunk_max",
-               "out_path": "out"}
+# a field's type picks its INI parser
+_PARSERS = {bool: _parse_bool, int: parse_int, str: str.strip,
+            Size: parse_size, Patterns: _parse_patterns}
+# INI keys that differ from their dataclass field names
+_KEYS = {"chunk_min_bytes": "chunk_min", "chunk_max_bytes": "chunk_max",
+         "out_path": "out", "page_size": "page"}
 
 
-def _read_section(section, cls, keys):
-    """Keyword arguments for dataclass cls from an INI section.
+def _read_fields(label, values, cls, **given):
+    """Build dataclass cls from the fields in given plus those read from
+    values, a map of INI key to text.
 
-    Each scalar field of cls is read from the key named after it (or after
-    keys[field name]). Its type picks the parser; *_bytes fields take sizes.
+    Each field with a parser is read from the key named after it (or after
+    _KEYS[field name]); a field with no default must be given. An error
+    starts with label and names the key.
     """
-    updates = {}
-    known = set()
-    for f in fields(cls):
-        parse = parse_size if f.name.endswith("_bytes") else _PARSERS.get(f.type)
-        if parse is None:
-            continue
-        key = keys.get(f.name, f.name)
-        known.add(key)
-        if key in section:
-            try:
-                updates[f.name] = parse(section[key])
-            except ValueError as exc:
-                raise ConfigError(f"[{section.name}] {key}: {exc}") from None
-    unknown = set(section) - known
+    parsed = {_KEYS.get(f.name, f.name): f for f in fields(cls) if f.type in _PARSERS}
+    unknown = set(values) - set(parsed)
     if unknown:
-        raise ConfigError(f"[{section.name}] unknown keys {sorted(unknown)}")
-    return updates
+        raise ConfigError(f"{label} unknown keys {sorted(unknown)}")
+    for key, f in parsed.items():
+        if key in values:
+            try:
+                given[f.name] = _PARSERS[f.type](values[key])
+            except ValueError as exc:
+                raise ConfigError(f"{label} {key}: {exc}") from None
+        elif f.default is MISSING:
+            raise ConfigError(f"{label} missing field {key!r}")
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(f"{label} {exc}") from None
+
+
+def _read_row(key, text):
+    """A [configs] row: its key is the config id, its fields are name=value."""
+    label = f"[configs] {key}:"
+    values = {"config_id": key}
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise ConfigError(
+                f"{label} cannot parse {part!r}: fields are name=value, "
+                "and patterns are joined with '+'"
+            )
+        name, _, value = part.partition("=")
+        name = name.strip()
+        if name in values:
+            raise ConfigError(f"{label} field {name!r} given twice")
+        values[name] = value.strip()
+    return _read_fields(label, values, TlbConfig)
 
 
 def load_config(path):
@@ -364,33 +362,24 @@ def load_config(path):
     Every key is optional; omitted ones keep the built-in defaults, so an
     empty file describes the default grid. Recognized sections: [sweep],
     [latency], and [configs] with one `id = ways=..., page=..., patterns=...`
-    row per configuration. A parse error names its section and key.
+    row per configuration, where patterns defaults to linear. Values are
+    read verbatim (no % interpolation); integers take decimal or 0x hex, and
+    sizes, page included, also a K/M/G suffix. A parse error names its
+    section and key.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as f:
             parser.read_file(f)
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot read {str(path)!r}: {exc}") from None
-    unknown = set(parser.sections()) - {"sweep", "latency", "configs"}
+    sections = {name: parser[name] for name in parser.sections()}
+    unknown = set(sections) - {"sweep", "latency", "configs"}
     if unknown:
         raise ConfigError(f"unknown sections {sorted(unknown)}")
-    config = ExperimentConfig()
-    if parser.has_section("sweep"):
-        updates = _read_section(parser["sweep"], ExperimentConfig, _SWEEP_KEYS)
-        config = replace(config, **updates)
-    if parser.has_section("latency"):
-        cycles = _read_section(parser["latency"], LatencyModel, {})
-        try:
-            config = replace(config, latency=replace(config.latency, **cycles))
-        except ValueError as exc:
-            raise ConfigError(f"[latency] {exc}") from None
-    if parser.has_section("configs"):
-        rows = []
-        for key, value in parser["configs"].items():
-            try:
-                rows.append(_parse_config_row(key, value))
-            except ValueError as exc:
-                raise ConfigError(f"[configs] {key}: {exc}") from None
-        config = replace(config, configs=tuple(rows))
-    return config.validate()
+    given = {"latency": _read_fields("[latency]", sections.get("latency", {}),
+                                     LatencyModel)}
+    if "configs" in sections:
+        given["configs"] = tuple(_read_row(*row) for row in sections["configs"].items())
+    sweep = sections.get("sweep", {})
+    return _read_fields("[sweep]", sweep, ExperimentConfig, **given).validate()

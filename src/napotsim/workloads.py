@@ -97,11 +97,12 @@ def read_trace(path):
     """Parse a file written by write_trace back into an AccessTrace.
 
     A malformed line, or a value that is not a canonical sv39 address,
-    raises ValueError naming its line number and text.
+    raises ValueError naming its line number and text. Bytes that are not
+    UTF-8 are kept as escapes, so such a line fails like any other.
     """
     phases = {phase: [] for phase in PHASES}
     current = None
-    with open(path) as f:
+    with open(path, errors="surrogateescape") as f:
         for number, line in enumerate(f, 1):
             line = line.strip()
             if not line:

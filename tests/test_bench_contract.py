@@ -6,13 +6,15 @@ walk's result. A renamed or removed name makes its traced sweep fail, and a
 change in what the hot path calls makes its call counts disagree with the
 CSV, which it reports as problems. The setup probe builds every cell's
 Simulation through the public names, and the paths probe times the five
-translation paths and reports a path its inputs did not take.
+translation paths and reports a path its inputs did not take. Each workload
+file must still load to the configurations it was written for.
 """
 
 import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,32 @@ def test_setup_probe_builds_every_cell(tiny_ini):
 def test_paths_probe_takes_every_path():
     doc = _probe("paths")
     assert doc["problems"] == []
+
+
+DEFAULT_GRID = (
+    (1, 4, 4096, ("linear",)),
+    (2, 16, 4096, ("linear", "random")),
+    (3, 4, 65536, ("linear",)),
+    (4, 16, 65536, ("linear", "random")),
+)
+# (config_id, ways, page_size, patterns) of each workload's rows
+WORKLOAD_CONFIGS = {
+    "grid-jobs2": DEFAULT_GRID,
+    "l1-resident": DEFAULT_GRID,
+    "l2-resident": (
+        (2, 16, 4096, ("linear", "random")),
+        (4, 16, 65536, ("linear", "random")),
+    ),
+    "walk-bound": (
+        (2, 16, 4096, ("random",)),
+        (4, 16, 65536, ("random",)),
+    ),
+}
+
+
+def test_workload_files_load_their_configs():
+    inis = sorted((ROOT / "napotbench" / "workloads").glob("*.ini"))
+    assert [ini.stem for ini in inis] == sorted(WORKLOAD_CONFIGS)
+    for ini in inis:
+        configs = tuple(map(astuple, load_config(ini).configs))
+        assert configs == WORKLOAD_CONFIGS[ini.stem], ini.name

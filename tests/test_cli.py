@@ -75,6 +75,20 @@ def test_run_seed_override_changes_random_cells(small_ini, tmp_path):
     assert len(a.read_text().splitlines()) == len(b.read_text().splitlines())
 
 
+def test_run_numbers_read_like_config_ints(small_ini, tmp_path):
+    # --seed 0x3 is seed = 0x3 in a config; a leading zero is rejected
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    assert main(["run", "--config", str(small_ini), "--out", str(a),
+                 "--seed", "0x3"]) == 0
+    assert main(["run", "--config", str(small_ini), "--out", str(b),
+                 "--seed", "3", "--jobs", "0x1"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(small_ini), "--seed", "08"])
+    assert exit_info.value.code == 2
+
+
 def test_run_plotdata(small_ini, tmp_path):
     out = tmp_path / "results.csv"
     plot = tmp_path / "plot.json"
@@ -133,11 +147,13 @@ base_ppn = 0xFFFFFFFFFF0
          "--plotdata ./r.out is also the CSV output"),
         ("validate", "[configs]\n1 = ways=4, page=4K, patterns=linear+linear\n", [],
          "config 1: pattern 'linear' listed twice"),
+        ("validate", "[configs]\n1 = ways=4, page=4Q\n", [],
+         "[configs] 1: page: cannot parse size '4Q'"),
     ],
     ids=["directory", "bad-sweep-value", "negative-seed", "table-frame-overflow",
          "validate-table-frame-overflow", "missing-out-dir", "missing-plotdata-dir",
          "out-is-directory", "empty-config-out", "plotdata-is-out",
-         "validate-repeated-pattern"],
+         "validate-repeated-pattern", "validate-bad-page-size"],
 )
 def test_run_rejects_bad_input(tmp_path, capsys, monkeypatch, command, text, extra,
                                message):
@@ -226,7 +242,7 @@ def test_gen_trace_custom_base(tmp_path):
 @pytest.mark.parametrize(
     "extra, message",
     [
-        (["--chunk-bytes", "3K"], "must be a power of two"),
+        (["--chunk-bytes", "3K"], "--chunk-bytes: chunk_bytes 0xc00"),
         # the chunk's last page lies past the top of the canonical low half
         (["--chunk-bytes", "8K", "--base-va", "0x3FFFFFF000"],
          "va 0x4000000fff is not a canonical"),

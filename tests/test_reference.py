@@ -9,12 +9,13 @@ regions mixing 4KB and 64KB pages in one Simulation (so both entry kinds
 share L2 sets), upper-half canonical VAs, and L1, L2 and walk-cache sizes
 down to one entry. The L1 and the walk cache are LRU; the L2 is LRU or
 random, and for random the reference replays the L2's randrange draws
-from its own random.Random(seed). A region in slot 0 maps from frame 0,
-which the TLBs must treat as a hit like any other frame; the test checks
-that each path meets frame 0 at both page sizes. Some measurement phases
-touch only pages the warm-up left in the L1, which the engine applies in
-bulk. The final order of the L1, of each L2 set and of the walk cache is
-checked too.
+from its own random.Random(seed). Some trials empty the walk cache between
+the phases, as flush_ptw_between_phases asks run_trace to. A region in
+slot 0 maps from frame 0, which the TLBs must treat as a hit like any other
+frame; the test checks that each path meets frame 0 at both page sizes.
+Some measurement phases touch only pages the warm-up left in the L1, which
+the engine applies in bulk. The final order of the L1, of each L2 set and
+of the walk cache is checked too.
 """
 
 import random
@@ -45,13 +46,14 @@ COUNTERS = (
 
 
 def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
-                  latency, replacement, seed):
+                  latency, replacement, seed, flush_ptw):
     """Translate every access of every phase; lists run oldest first.
 
     Returns the (pa, path, cycles) of each access, one counter dict per
     phase, and the final state: the L1 as (vpn, frame) pairs, the occupied
     L2 sets in L2Tlb.dump()'s form and the walk-cache keys. State carries
-    across phases; counters do not.
+    across phases, except the walk cache when flush_ptw is set; counters
+    do not.
     """
     sets = l2_entries // ways
     rng = random.Random(seed)
@@ -61,6 +63,8 @@ def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
     outcomes = []
     counters = []
     for addresses in phases:
+        if flush_ptw and counters:
+            ptw.clear()
         count = dict.fromkeys(COUNTERS, 0)
         for va in addresses:
             vpn = (va >> 12) & ((1 << 27) - 1)
@@ -162,6 +166,7 @@ def random_case(rng):
         latency=LatencyModel(
             rng.randint(0, 3), rng.randint(0, 5), rng.randint(0, 40)
         ),
+        flush_ptw=rng.random() < 0.5,
     )
     warmup = draw(rng.randint(0, 300))
     if warmup and rng.random() < 0.3:
@@ -186,6 +191,7 @@ def make_sim(regions, geometry):
         latency=geometry["latency"],
         replacement=geometry["replacement"],
         seed=geometry["seed"],
+        flush_ptw_between_phases=geometry["flush_ptw"],
     )
 
 
@@ -194,6 +200,7 @@ def test_engine_matches_reference_translator():
     frame0 = set()  # (path, page size) of accesses that reached frame 0
     all_hit = 0  # trials whose measurement phase is 2+ accesses, all L1 hits
     random_evicted = 0  # random-policy trials that evicted from the L2
+    flushed = 0  # flushing trials whose warm-up left the walk cache non-empty
     for trial in range(60):
         regions, phases, geometry = random_case(rng)
         outcomes, counters, (l1, l2, ptw) = reference_run(
@@ -205,6 +212,8 @@ def test_engine_matches_reference_translator():
         inserted = sum(count["walks"] for count in counters)
         random_evicted += (geometry["replacement"] == "random"
                            and inserted > sum(map(len, l2.values())))
+        if geometry["flush_ptw"]:
+            flushed += bool(reference_run(regions, phases[:1], **geometry)[2][2])
         for region in regions:
             if region.base_ppn == 0:
                 frame0.update(
@@ -215,6 +224,8 @@ def test_engine_matches_reference_translator():
         got = []
         for phase, addresses in zip(("warmup", "measurement"), phases):
             stepped.phase = phase
+            if phase == "measurement" and geometry["flush_ptw"]:
+                stepped.ptw_cache.clear()  # translate() never flushes
             for va in addresses:
                 out = stepped.translate(va)
                 got.append((out.pa, out.path, out.cycles_charged))
@@ -231,6 +242,7 @@ def test_engine_matches_reference_translator():
             assert list(sim.ptw_cache.entries) == ptw, f"trial {trial}"
     assert all_hit >= 10
     assert random_evicted >= 20
+    assert flushed >= 15
     assert frame0 == {
         (path, size) for path in (L1_HIT, L2_HIT, WALK) for size in PageSize.ALL
     }

@@ -324,6 +324,33 @@ mem_read_cycles = 50
     )
 
 
+def test_load_config_number_spellings(tmp_path):
+    # the row's key, ways and page are read like every other int and size
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        "[configs]\n"
+        "0x2 = ways=0x10, page=0x10000, patterns=random\n"
+        "3 = ways=4, page=64KB\n"
+        "4 = ways=4, page=65536\n"
+        "5 = ways=4, page=64K\n"
+    )
+    assert load_config(path).configs == (
+        TlbConfig(2, 16, PageSize.PAGE_64K, ("random",)),
+        TlbConfig(3, 4, PageSize.PAGE_64K, ("linear",)),
+        TlbConfig(4, 4, PageSize.PAGE_64K, ("linear",)),
+        TlbConfig(5, 4, PageSize.PAGE_64K, ("linear",)),
+    )
+
+
+def test_load_config_reads_values_verbatim(tmp_path):
+    # no % interpolation: a % is part of the value
+    path = tmp_path / "exp.ini"
+    path.write_text("[sweep]\nout = run_%d.csv\n")
+    assert load_config(path).out_path == "run_%d.csv"
+    path.write_text("[sweep]\nout = run_%%d.csv\n")
+    assert load_config(path).out_path == "run_%%d.csv"
+
+
 def test_load_config_empty_file_gives_defaults(tmp_path):
     path = tmp_path / "empty.ini"
     path.write_text("")
@@ -341,8 +368,16 @@ def test_load_config_errors(tmp_path):
         ("[sweep]\nwhatever = 1\n", r"\[sweep\] unknown keys \['whatever'\]"),
         ("[mystery]\nx = 1\n", r"unknown sections \['mystery'\]"),
         ("[latency]\nl4_cycles = 1\n", r"\[latency\] unknown keys \['l4_cycles'\]"),
-        ("[configs]\none = ways=4, page=4K\n", r"\[configs\] one: .*not an int"),
-        ("[configs]\n1 = ways=4, page=2M\n", r"\[configs\] 1: unknown page size"),
+        ("[latency]\nmem_read_cycles = -1\n",
+         r"\[latency\] mem_read_cycles must be non-negative"),
+        ("[configs]\none = ways=4, page=4K\n", r"\[configs\] one: config_id: .*'one'"),
+        ("[configs]\n1 = ways=4, page=2M\n", "config 1: unsupported page size 2097152"),
+        ("[configs]\n1 = ways=4, page=4Q\n",
+         r"\[configs\] 1: page: cannot parse size '4Q'"),
+        ("[configs]\n1 = ways=4, page=4K%\n",
+         r"\[configs\] 1: page: cannot parse size '4K%'"),
+        ("[configs]\n1 = ways=4, page=4K, config_id=3\n",
+         r"\[configs\] 1: field 'config_id' given twice"),
         ("[configs]\n1 = ways=4\n", r"\[configs\] 1: missing field 'page'"),
         ("[configs]\n1 = ways=4, page=4K, bogus=1\n", r"\[configs\] 1: .*bogus"),
         ("[configs]\n1 = ways=4, ways=16, page=4K\n",

@@ -178,9 +178,14 @@ def test_read_trace_rejects_stray_lines(tmp_path):
         # bit 38 set with bits 63:39 clear: inside 64 bits, outside sv39
         ("# phase: warmup\n0x1000\n0x4000000000\n",
          r"line 3: '0x4000000000' is not a canonical sv39 address"),
+        # a line starting with the bytes ff fe, which are not UTF-8
+        ("\udcff\udcfe0x1000\n",
+         r"line 1: address '\\udcff\\udcfe0x1000' before any phase marker"),
+        ("# phase: warmup\n\udcff\udcfe0x1000\n",
+         r"line 2: '\\udcff\\udcfe0x1000' is not a hex address"),
     )
     for text, message in cases:
-        path.write_text(text)
+        path.write_text(text, errors="surrogateescape")
         with pytest.raises(ValueError, match=message):
             read_trace(path)
 

@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, astuple, dataclass, field, fields
 from typing import NewType
 
@@ -228,6 +227,9 @@ def run_sweep(config, jobs=1):
     if jobs == 1:
         results = list(map(_run_point, *args))
     else:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
             results = list(pool.map(_run_point, *args))
     rows = [row for point_rows in results for row in point_rows]

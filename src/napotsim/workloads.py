@@ -8,13 +8,14 @@ cyclically (linear) or uniform page picks from a counter-based generator
 """
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import PHASES
 from .pagetable import RegionSpec
-from .sv39 import PAGE_BYTES, PAGE_SHIFT, PageSize, is_canonical
+from .sv39 import PAGE_BYTES, PageSize, is_canonical
 
 PATTERNS = ("linear", "random")
 CHUNK_MIN_BYTES = 4 << 10
@@ -51,15 +52,22 @@ class WorkloadSpec:
 
 @dataclass
 class AccessTrace:
-    warmup: list
-    measurement: list
+    """The two phases of a trace, each a sequence of virtual addresses."""
+
+    warmup: Sequence[int]
+    measurement: Sequence[int]
 
 
 def gen_trace(spec, base_va):
     """Warm-up pass over the chunk, then the measured accesses: the pass
     repeated cyclically (linear) or uniform page picks from a Philox stream
-    (random)."""
-    warmup = list(range(base_va, base_va + spec.chunk_bytes, PAGE_BYTES))
+    (random).
+
+    The warm-up is a range, and the measured phase is a list in which all
+    accesses to one page share one int, so a trace holds at most one int
+    object per page rather than one per access.
+    """
+    warmup = range(base_va, base_va + spec.chunk_bytes, PAGE_BYTES)
     if spec.pattern == "linear":
         measurement = list(
             itertools.islice(itertools.cycle(warmup), spec.measured_accesses)
@@ -67,8 +75,7 @@ def gen_trace(spec, base_va):
     else:
         rng = np.random.Generator(np.random.Philox(spec.seed))
         picks = rng.integers(0, spec.num_pages, size=spec.measured_accesses)
-        vas = (picks.astype(np.uint64) << np.uint64(PAGE_SHIFT)) + np.uint64(base_va)
-        measurement = vas.tolist()
+        measurement = np.array(warmup, dtype=object)[picks].tolist()
     return AccessTrace(warmup, measurement)
 
 

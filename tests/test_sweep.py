@@ -1,8 +1,12 @@
 """Sweep grid mechanics: config parsing, row layout, determinism."""
 
+import concurrent.futures
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -203,12 +207,36 @@ def test_run_sweep_pool_capped_at_grid_points(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    # run_sweep imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     config = small_config()
     rows = run_sweep(config, jobs=5000)
     # 2 patterns x 3 chunk sizes
     assert asked == [6]
     assert rows == run_sweep(config, jobs=1)
+
+
+def test_serial_sweep_loads_no_process_pool():
+    # a serial run starts no worker, so it need not pay for loading the pool
+    src = str(Path(napotsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys\n"
+        "from napotsim import ExperimentConfig, TlbConfig, run_sweep\n"
+        "tlb = TlbConfig(1, 4, 4096, ('linear', 'random'))\n"
+        "run_sweep(ExperimentConfig(configs=(tlb,), chunk_max_bytes=8192,\n"
+        "                           measured_accesses=100))\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+        "       if m in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_run_sweep_rejects_bad_jobs(monkeypatch):

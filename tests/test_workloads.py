@@ -1,7 +1,10 @@
-"""Trace generation: coverage, determinism, distribution, file round trip."""
+"""Trace generation: coverage, determinism, distribution, memory shape,
+file round trip."""
 
+import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,10 +53,10 @@ def test_default_measured_accesses():
 def test_linear_trace_layout():
     spec = WorkloadSpec(KB64, "linear", measured_accesses=40)
     trace = gen_trace(spec, BASE)
-    assert trace.warmup == [BASE + p * KB4 for p in range(16)]
+    assert list(trace.warmup) == [BASE + p * KB4 for p in range(16)]
     # measurement repeats the same pass cyclically
-    assert trace.measurement[:16] == trace.warmup
-    assert trace.measurement[16:32] == trace.warmup
+    assert trace.measurement[:16] == list(trace.warmup)
+    assert trace.measurement[16:32] == list(trace.warmup)
     assert len(trace.measurement) == 40
 
 
@@ -109,6 +112,63 @@ def test_random_trace_is_roughly_uniform():
     assert counts.min() > n * p - 5 * sigma
     assert counts.max() < n * p + 5 * sigma
     assert counts.sum() == n
+
+
+# (pattern, chunk, seed, accesses, base, first VA, last VA, digest); the
+# digest is sha256 over the measured phase's hex VAs joined by newlines.
+# These pin the Philox draw and the page-to-VA step: a change to either
+# changes every random row of every CSV.
+HIGH = 0xffff_ffc0_0000_0000
+GOLDEN_TRACES = [
+    ("random", 8 << 20, 0, 3000, BASE, 0x4011_5000, 0x4008_5000, "d328fe8f0f2f0d07"),
+    ("random", 8 << 20, 7, 3000, BASE, 0x4022_6000, 0x4057_d000, "e8134fbb6b5644c7"),
+    ("linear", 1 << 20, 0, 1000, BASE, 0x4000_0000, 0x400e_7000, "ecc77ad9c828930e"),
+    ("random", KB4, 5, 100, BASE, 0x4000_0000, 0x4000_0000, "9bbc2bedadd58f15"),
+    ("random", 8 << 20, 0, 3000, HIGH, HIGH + 0x11_5000, HIGH + 0x8_5000, "6e762bda907dae6e"),
+    ("random", 8 << 20, 7, 3000, HIGH, HIGH + 0x22_6000, HIGH + 0x57_d000, "a6f0795d2a9a1d19"),
+    ("linear", 1 << 20, 0, 1000, HIGH, HIGH, HIGH + 0xe_7000, "8b13e08bc8cf0c80"),
+    ("random", KB4, 5, 100, HIGH, HIGH, HIGH, "d1ac0e51e848c368"),
+]
+
+
+@pytest.mark.parametrize(
+    "pattern,chunk,seed,accesses,base,first,last,digest", GOLDEN_TRACES
+)
+def test_gen_trace_golden(pattern, chunk, seed, accesses, base, first, last, digest):
+    spec = WorkloadSpec(chunk, pattern, seed=seed, measured_accesses=accesses)
+    trace = gen_trace(spec, base)
+    assert list(trace.warmup) == [base + p * KB4 for p in range(spec.num_pages)]
+    m = trace.measurement
+    assert (len(m), m[0], m[-1]) == (accesses, first, last)
+    text = "\n".join(map(hex, m)).encode()
+    assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+
+def test_trace_holds_one_int_per_page():
+    for pattern in ("linear", "random"):
+        spec = WorkloadSpec(1 << 20, pattern, seed=2, measured_accesses=5000)
+        trace = gen_trace(spec, BASE)
+        assert len({id(va) for va in trace.measurement}) <= spec.num_pages
+        # the engine reads the phase's length, first access and reverse order
+        warmup = trace.warmup
+        assert len(warmup) == spec.num_pages
+        assert (warmup[0], warmup[-1]) == (BASE, BASE + (1 << 20) - KB4)
+        assert list(reversed(warmup)) == list(warmup)[::-1]
+
+
+def test_random_trace_memory_bound():
+    # a 256MB chunk has 65536 pages; one int per access held about 43 MB
+    # after the build and peaked near 59 MB while it ran
+    spec = WorkloadSpec(256 << 20, "random", seed=0)
+    tracemalloc.start()
+    try:
+        trace = gen_trace(spec, BASE)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.measurement) == 1_000_000
+    assert held < 16e6
+    assert peak < 32e6
 
 
 def test_gen_trace_dispatch_and_pattern_check():

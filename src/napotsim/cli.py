@@ -36,11 +36,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run an experiment sweep and emit CSV")
-    source = run_p.add_mutually_exclusive_group()
-    source.add_argument("--config", metavar="PATH",
-                        help="INI experiment description (default: built-in grid)")
-    source.add_argument("--default", action="store_true",
-                        help="run the built-in four-config grid explicitly")
+    run_p.add_argument("--config", metavar="PATH",
+                       help="INI experiment description (default: built-in grid)")
     run_p.add_argument("--out", metavar="PATH",
                        help="CSV output path (default from config)")
     run_p.add_argument("--plotdata", metavar="PATH",

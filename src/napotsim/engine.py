@@ -5,13 +5,16 @@ the L2 probe whether it hits or not; an L2 miss walks the tables and adds
 mem_read_cycles per memory read the walk performs. Counters are kept per
 phase so warm-up accesses never pollute the measured numbers, while TLB
 and walk-cache state carries across the phase boundary.
+
+Both TLBs are keyed by va >> PAGE_SHIFT, and only VAs walk found canonical
+fill them: a non-canonical access misses both, and walk raises on it.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import CanonicalityError, InvariantError, UnmappedAccessError
+from .errors import InvariantError, UnmappedAccessError
 from .pagetable import PTW_CACHE_ENTRIES, PtwCache, build_page_tables, walk
-from .sv39 import CANONICAL_HIGH, OFFSET_MASK, PAGE_SHIFT, VPN_MASK, is_canonical
+from .sv39 import OFFSET_MASK, PAGE_SHIFT
 from .tlb import L1_ENTRIES, L2_ENTRIES, L1Dtlb, L2Tlb
 
 WARMUP = "warmup"
@@ -133,7 +136,7 @@ class Simulation:
         else:
             path = WALK
         # every path leaves the page at the L1's MRU end
-        ppn = self.l1.entries[(va >> PAGE_SHIFT) & VPN_MASK]
+        ppn = self.l1.entries[va >> PAGE_SHIFT]
         return TranslationOutcome(
             (ppn << PAGE_SHIFT) | (va & OFFSET_MASK),
             path,
@@ -164,16 +167,12 @@ class Simulation:
         # touched pages in last-touch order after the untouched ones. The
         # first access is tested alone so that most phases that miss skip
         # the scan.
-        if total and ((addresses[0] >> PAGE_SHIFT) & VPN_MASK) in l1_entries:
+        if total and addresses[0] >> PAGE_SHIFT in l1_entries:
             by_last_touch = dict.fromkeys(reversed(addresses))
-            vpns = dict.fromkeys(
-                (va >> PAGE_SHIFT) & VPN_MASK for va in by_last_touch
-            )
-            if l1_entries.keys() >= vpns.keys() and all(
-                map(is_canonical, by_last_touch)
-            ):
-                for vpn in reversed(vpns):
-                    l1_entries.move_to_end(vpn)
+            pages = dict.fromkeys(va >> PAGE_SHIFT for va in by_last_touch)
+            if l1_entries.keys() >= pages.keys():
+                for page in reversed(pages):
+                    l1_entries.move_to_end(page)
                 l1_hits = total
         if l1_hits != total:
             # the per-access reference path; names are bound locally because
@@ -187,28 +186,22 @@ class Simulation:
             mem = self.mem
             ptw_cache = self.ptw_cache
             for va in addresses:
-                # inline sv39.check_canonical: a call per access costs too much
-                high = va >> 38
-                if high != 0 and high != CANONICAL_HIGH:
-                    raise CanonicalityError(
-                        f"va {va:#x} is not a canonical sv39 address"
-                    )
-                vpn = (va >> PAGE_SHIFT) & VPN_MASK
-                if l1_get(vpn) is not None:
-                    l1_move(vpn)
+                page = va >> PAGE_SHIFT
+                if l1_get(page) is not None:
+                    l1_move(page)
                     l1_hits += 1
                     continue
-                ppn = l2_lookup(vpn)
+                ppn = l2_lookup(page)
                 if ppn is not None:
                     l2_hits += 1
-                    l1_insert(vpn, ppn)
+                    l1_insert(page, ppn)
                     continue
                 result = walk(root_ppn, mem, ptw_cache, va)
                 if result.faulted:
                     raise UnmappedAccessError(f"no mapping behind va {va:#x}")
                 walks += 1
                 walk_reads += result.memory_reads
-                l1_insert(vpn, l2_insert(vpn, result.pte))
+                l1_insert(page, l2_insert(page, result.pte))
         l1_misses = total - l1_hits
         latency = self.latency
         stats.accesses += total

@@ -10,6 +10,8 @@ NAPOT offset, so one entry covers the whole 64KB group.
 Inside a set, entries live in an OrderedDict from oldest to newest, each
 mapping a key to the entry's PPN. Keys put the two entry kinds in disjoint
 namespaces: vpn << 1 for a 4KB entry, (vpn >> 4) << 1 | 1 for a NAPOT entry.
+The engine keys both TLBs by va >> 12, unmasked: for a canonical VA the set
+index is the VPN's, and the tag of an upper-half entry keeps VA bits 63:12.
 """
 
 import random
@@ -24,7 +26,6 @@ from .sv39 import (
     PTE_PPN_SHIFT,
     PTE_RWX,
     PTE_V,
-    VPN_MASK,
     check_napot_shape,
 )
 
@@ -103,8 +104,7 @@ class L2Tlb:
 
     def flush(self, va):
         """Invalidate the whole set va indexes, regardless of page size."""
-        vpn = (va >> PAGE_SHIFT) & VPN_MASK
-        self._sets[(vpn >> NAPOT_SHIFT) & self.set_mask].clear()
+        self._sets[(va >> (PAGE_SHIFT + NAPOT_SHIFT)) & self.set_mask].clear()
 
     def clear(self):
         for entries in self._sets:
@@ -116,7 +116,7 @@ class L2Tlb:
     def dump(self):
         """Occupied sets as {index: [(tag, ppn, napot), ...]}, LRU first.
 
-        The tag is the VPN of a 4KB entry and VPN bits 26:4 of a NAPOT one.
+        The tag is the inserted vpn of a 4KB entry, vpn >> 4 of a NAPOT one.
         """
         out = {}
         for index, entries in enumerate(self._sets):
@@ -153,9 +153,9 @@ class LruCache:
 
 
 class L1Dtlb(LruCache):
-    """Small fully associative DTLB: exact 4KB VPNs only, true LRU.
+    """Small fully associative DTLB: exact 4KB pages only, true LRU.
 
-    entries maps VPN to PPN; the engine's hot loop probes it inline."""
+    entries maps each page va >> 12 to its PPN; the engine probes it inline."""
 
     def __init__(self, capacity=L1_ENTRIES):
         super().__init__(capacity)

@@ -31,8 +31,8 @@ measured_accesses = 2000
 include_warmup = true
 
 [configs]
-1 = ways=4, page=4K, patterns=random
-2 = ways=16, page=64K, patterns=random
+1 = ways=4, page=4K, patterns=linear+random
+2 = ways=16, page=64K, patterns=linear+random
 """
 
 

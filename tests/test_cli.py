@@ -183,15 +183,17 @@ def test_run_default_selects_builtin_grid(tmp_path, monkeypatch):
 
     monkeypatch.setattr("napotsim.cli.run_sweep", fake_sweep)
     out = tmp_path / "results.csv"
-    assert main(["run", "--default", "--out", str(out)]) == 0
+    assert main(["run", "--out", str(out)]) == 0
     assert len(seen) == 1
     assert seen[0].configs == ExperimentConfig().configs
     assert len(seen[0].cells()) == 102
 
 
-def test_run_default_conflicts_with_config(small_ini):
+def test_run_default_flag_is_rejected(capsys):
+    # no --config already runs the built-in grid; there is no --default
     with pytest.raises(SystemExit):
-        main(["run", "--default", "--config", str(small_ini)])
+        main(["run", "--default"])
+    assert "unrecognized arguments: --default" in capsys.readouterr().err
 
 
 def test_validate_ok(small_ini, capsys):

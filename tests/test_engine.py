@@ -195,7 +195,8 @@ def test_phase_that_opens_with_a_hit_and_later_walks():
 
 def test_resident_phase_with_a_non_canonical_va_raises():
     # bit 40 falls outside the 27-bit VPN, so this VA's VPN is a's, which
-    # is resident; only the canonicality check can stop it
+    # is resident; but the TLBs are keyed by VA bits 63:12, so it misses
+    # both and walk's canonicality check stops it
     a, b = BASE_VA, BASE_VA + KB4
     sim = warm_l1(2)
     before = deepcopy(sim.stats)
@@ -256,6 +257,9 @@ def test_translate_respects_phase_attribute():
     sim.translate(BASE_VA)
     assert sim.stats.warmup.accesses == 1
     assert sim.stats.measurement.accesses == 0
+    sim.phase = "bogus"
+    with pytest.raises(ValueError, match="unknown phase 'bogus'"):
+        sim.translate(BASE_VA)
 
 
 def test_stats_invariants_on_random_traces():
@@ -361,14 +365,23 @@ def test_phase_check_survives_python_O():
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     code = (
-        "from napotsim import InvariantError, LatencyModel, PhaseStats\n"
+        "from napotsim import CanonicalityError, InvariantError, LatencyModel,"
+        " PageSize, PhaseStats, RegionSpec, Simulation\n"
         "try:\n"
         "    PhaseStats(accesses=1).check(LatencyModel())\n"
         "except InvariantError as exc:\n"
+        "    print('raised', exc)\n"
+        "sim = Simulation([RegionSpec(0x40000000, 4096, PageSize.PAGE_4K, 1)])\n"
+        "try:\n"
+        "    sim.translate(1 << 40)\n"
+        "except CanonicalityError as exc:\n"
         "    print('raised', exc)\n"
     )
     out = subprocess.run(
         [sys.executable, "-O", "-c", code],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout.startswith("raised l1_hits + l1_misses == accesses")
+    assert out.stdout.splitlines() == [
+        "raised l1_hits + l1_misses == accesses broken: 0 != 1",
+        "raised va 0x10000000000 is not a canonical sv39 address",
+    ]

@@ -437,6 +437,10 @@ def test_ptw_cache_capacity_and_lru():
     cache.put(100, pte)
     assert cache.get(2) is None
     assert cache.get(1) is not None
+    # re-putting a resident key into the full cache refreshes it in place
+    cache.put(3, pointer(0x98))
+    assert list(cache.entries) == [4, 5, 6, 7, 8, 100, 1, 3]
+    assert cache.entries[3] == pointer(0x98)
 
 
 def test_ptw_cache_rejects_leaves():

@@ -15,13 +15,22 @@ slot 0 maps from frame 0, which the TLBs must treat as a hit like any other
 frame; the test checks that each path meets frame 0 at both page sizes.
 Some measurement phases touch only pages the warm-up left in the L1, which
 the engine applies in bulk. The final order of the L1, of each L2 set and
-of the walk cache is checked too.
+of the walk cache is checked too. The reference tags its TLB entries by the
+page number va >> 12, as the engine does, and keys its walk cache by the
+27-bit VPN, as walk does.
+
+Some trials flip one bit in 38..63 of one access, which takes it out of the
+canonical range; among them, bit 40 of one access of an otherwise
+all-L1-hit measurement phase. Both translate() and run_trace must then
+raise CanonicalityError naming that VA, in the state the accesses before it
+left.
 """
 
 import random
 from dataclasses import asdict
 
 from napotsim.engine import L1_HIT, L2_HIT, WALK, LatencyModel, Simulation
+from napotsim.errors import CanonicalityError
 from napotsim.pagetable import RegionSpec
 from napotsim.sv39 import PageSize
 from napotsim.workloads import AccessTrace
@@ -50,15 +59,15 @@ def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
     """Translate every access of every phase; lists run oldest first.
 
     Returns the (pa, path, cycles) of each access, one counter dict per
-    phase, and the final state: the L1 as (vpn, frame) pairs, the occupied
+    phase, and the final state: the L1 as (page, frame) pairs, the occupied
     L2 sets in L2Tlb.dump()'s form and the walk-cache keys. State carries
     across phases, except the walk cache when flush_ptw is set; counters
     do not.
     """
     sets = l2_entries // ways
     rng = random.Random(seed)
-    l1 = []  # (vpn, frame)
-    l2 = [[] for _ in range(sets)]  # (vpn or group tag, napot?, frame base)
+    l1 = []  # (page, frame)
+    l2 = [[] for _ in range(sets)]  # (page or group tag, napot?, frame base)
     ptw = []  # (level, vpn prefix) of cached non-leaf entries
     outcomes = []
     counters = []
@@ -67,13 +76,14 @@ def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
             ptw.clear()
         count = dict.fromkeys(COUNTERS, 0)
         for va in addresses:
-            vpn = (va >> 12) & ((1 << 27) - 1)
+            page = va >> 12
+            vpn = page & ((1 << 27) - 1)  # the walk cache's keys drop 63:39
             region = next(r for r in regions if r.base_va <= va < r.end_va)
             frame = region.base_ppn + ((va - region.base_va) >> 12)
             napot = region.page_size == PageSize.PAGE_64K
             cycles = latency.l1_hit_cycles
             count["accesses"] += 1
-            hit = [e for e in l1 if e[0] == vpn]
+            hit = [e for e in l1 if e[0] == page]
             if hit:
                 l1.remove(hit[0])
                 l1.append(hit[0])
@@ -83,9 +93,9 @@ def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
             else:
                 count["l1_misses"] += 1
                 cycles += latency.l2_lookup_cycles
-                ways_list = l2[(vpn // 16) % sets]
-                hit = [e for e in ways_list if e[:2] == (vpn, False)]
-                hit = hit or [e for e in ways_list if e[:2] == (vpn // 16, True)]
+                ways_list = l2[(page // 16) % sets]
+                hit = [e for e in ways_list if e[:2] == (page, False)]
+                hit = hit or [e for e in ways_list if e[:2] == (page // 16, True)]
                 if hit:
                     ways_list.remove(hit[0])
                     ways_list.append(hit[0])
@@ -110,14 +120,14 @@ def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
                             ptw.pop(0)
                     count["walk_memory_reads"] += reads
                     cycles += reads * latency.mem_read_cycles
-                    tag = vpn // 16 if napot else vpn
-                    entry = (tag, napot, frame - (vpn % 16 if napot else 0))
+                    tag = page // 16 if napot else page
+                    entry = (tag, napot, frame - (page % 16 if napot else 0))
                     if len(ways_list) == ways:
                         random_victim = replacement == "random"
                         ways_list.pop(rng.randrange(ways) if random_victim else 0)
                     ways_list.append(entry)
                     path = WALK
-                l1.append((vpn, frame))
+                l1.append((page, frame))
                 if len(l1) > l1_entries:
                     l1.pop(0)
             count["total_cycles"] += cycles
@@ -171,8 +181,8 @@ def random_case(rng):
     warmup = draw(rng.randint(0, 300))
     if warmup and rng.random() < 0.3:
         # only pages the warm-up leaves in the L1, so every access hits
-        l1 = {vpn for vpn, _ in reference_run(regions, (warmup,), **geometry)[2][0]}
-        resident = [va for va in pages if (va >> 12) & ((1 << 27) - 1) in l1]
+        l1 = {page for page, _ in reference_run(regions, (warmup,), **geometry)[2][0]}
+        resident = [va for va in pages if va >> 12 in l1]
         measurement = [
             rng.choice(resident) | rng.randrange(4096)
             for _ in range(rng.randint(1, 600))
@@ -195,47 +205,99 @@ def make_sim(regions, geometry):
     )
 
 
+def flip_one_access(rng, phases, resident):
+    """Flip a bit in 38..63 of one access, or return None for a clean trial.
+
+    Returns the phases with that access flipped, and its phase, index and
+    bit. A resident measurement phase gets bit 40 more often: the flipped
+    VA's VPN bits stay those of a page in the L1.
+    """
+    if resident and rng.random() < 0.5:
+        where, bit = 1, 40
+    elif rng.random() < 0.2:
+        where, bit = rng.choice([n for n, ph in enumerate(phases) if ph]), None
+    else:
+        return None
+    index = rng.randrange(len(phases[where]))
+    if bit is None:
+        bit = rng.randint(38, 63)
+    flipped = [list(ph) for ph in phases]
+    flipped[where][index] ^= 1 << bit
+    return flipped, where, index, bit
+
+
 def test_engine_matches_reference_translator():
     rng = random.Random(2406)
     frame0 = set()  # (path, page size) of accesses that reached frame 0
     all_hit = 0  # trials whose measurement phase is 2+ accesses, all L1 hits
     random_evicted = 0  # random-policy trials that evicted from the L2
     flushed = 0  # flushing trials whose warm-up left the walk cache non-empty
-    for trial in range(60):
+    non_canonical = 0  # trials with one access flipped out of the canonical range
+    resident_flip = 0  # ... by bit 40, inside an all-L1-hit measurement phase
+    zero = dict.fromkeys(COUNTERS, 0)
+    for trial in range(100):
         regions, phases, geometry = random_case(rng)
-        outcomes, counters, (l1, l2, ptw) = reference_run(
-            regions, phases, **geometry
-        )
+        outcomes, counters, state = reference_run(regions, phases, **geometry)
         measured = counters[1]
-        all_hit += measured["l1_hits"] == measured["accesses"] >= 2
-        # every walk inserts a new L2 entry, and only an eviction drops one
-        inserted = sum(count["walks"] for count in counters)
-        random_evicted += (geometry["replacement"] == "random"
-                           and inserted > sum(map(len, l2.values())))
-        if geometry["flush_ptw"]:
-            flushed += bool(reference_run(regions, phases[:1], **geometry)[2][2])
-        for region in regions:
-            if region.base_ppn == 0:
-                frame0.update(
-                    (path, region.page_size)
-                    for pa, path, _ in outcomes if pa >> 12 == 0
+        resident = measured["l1_hits"] == measured["accesses"] >= 2
+        flip = flip_one_access(rng, phases, resident)
+        if flip:
+            phases, where, index, bit = flip
+            non_canonical += 1
+            resident_flip += resident and where == 1 and bit == 40
+            # the engine stops at the flipped access, in the state the ones
+            # before it leave; the raising phase's counters never move
+            before = (*phases[:where], phases[where][:index])
+            outcomes, counters, state = reference_run(regions, before, **geometry)
+            error = f"va {phases[where][index]:#x} is not a canonical sv39 address"
+        else:
+            all_hit += resident
+            # every walk inserts a new L2 entry, and only an eviction drops one
+            inserted = sum(count["walks"] for count in counters)
+            random_evicted += (geometry["replacement"] == "random"
+                               and inserted > sum(map(len, state[1].values())))
+            if geometry["flush_ptw"]:
+                flushed += bool(
+                    reference_run(regions, phases[:1], **geometry)[2][2]
                 )
+            for region in regions:
+                if region.base_ppn == 0:
+                    frame0.update(
+                        (path, region.page_size)
+                        for pa, path, _ in outcomes if pa >> 12 == 0
+                    )
+            where, error = len(phases), None
         stepped = make_sim(regions, geometry)
         got = []
+        raised = None
         for phase, addresses in zip(("warmup", "measurement"), phases):
             stepped.phase = phase
             if phase == "measurement" and geometry["flush_ptw"]:
                 stepped.ptw_cache.clear()  # translate() never flushes
-            for va in addresses:
-                out = stepped.translate(va)
-                got.append((out.pa, out.path, out.cycles_charged))
+            try:
+                for va in addresses:
+                    out = stepped.translate(va)
+                    got.append((out.pa, out.path, out.cycles_charged))
+            except CanonicalityError as exc:
+                raised = str(exc)
+                break
+        assert raised == error, f"trial {trial}"
         for i, (want, have) in enumerate(zip(outcomes, got)):
             assert have == want, f"trial {trial}, access {i}"
+        assert len(got) == len(outcomes), f"trial {trial}"
         looped = make_sim(regions, geometry)
-        stats = looped.run_trace(AccessTrace(*phases))
-        for name, want in zip(("warmup", "measurement"), counters):
-            assert asdict(stats.phase(name)) == want, f"trial {trial}, {name}"
+        try:
+            looped.run_trace(AccessTrace(*phases))
+            raised = None
+        except CanonicalityError as exc:
+            raised = str(exc)
+        assert raised == error, f"trial {trial}"
+        for n, name in enumerate(("warmup", "measurement")):
+            want = counters[n] if n < len(counters) else zero
             assert asdict(stepped.stats.phase(name)) == want, f"trial {trial}"
+            want = counters[n] if n < where else zero
+            assert asdict(looped.stats.phase(name)) == want, f"trial {trial}, {name}"
+        l1, l2, ptw = state
         for sim in (stepped, looped):
             assert list(sim.l1.entries.items()) == l1, f"trial {trial}"
             assert sim.l2.dump() == l2, f"trial {trial}"
@@ -243,6 +305,8 @@ def test_engine_matches_reference_translator():
     assert all_hit >= 10
     assert random_evicted >= 20
     assert flushed >= 15
+    assert non_canonical >= 20
+    assert resident_flip >= 10
     assert frame0 == {
         (path, size) for path in (L1_HIT, L2_HIT, WALK) for size in PageSize.ALL
     }

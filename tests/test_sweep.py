@@ -353,7 +353,8 @@ mem_read_cycles = 50
 
 
 def test_load_config_number_spellings(tmp_path):
-    # the row's key, ways and page are read like every other int and size
+    # the row's key, ways and page are read like every other int and size;
+    # an empty field between commas is skipped
     path = tmp_path / "exp.ini"
     path.write_text(
         "[configs]\n"
@@ -361,12 +362,14 @@ def test_load_config_number_spellings(tmp_path):
         "3 = ways=4, page=64KB\n"
         "4 = ways=4, page=65536\n"
         "5 = ways=4, page=64K\n"
+        "6 = ways=4,, page=4K,\n"
     )
     assert load_config(path).configs == (
         TlbConfig(2, 16, PageSize.PAGE_64K, ("random",)),
         TlbConfig(3, 4, PageSize.PAGE_64K, ("linear",)),
         TlbConfig(4, 4, PageSize.PAGE_64K, ("linear",)),
         TlbConfig(5, 4, PageSize.PAGE_64K, ("linear",)),
+        TlbConfig(6, 4, PageSize.PAGE_4K, ("linear",)),
     )
 
 

@@ -244,6 +244,11 @@ def test_l1_lru_eviction():
     assert 0 not in tlb.entries
     assert tlb.entries[1] == 1
     assert len(tlb) == 32
+    # inserting a resident key into the full L1 makes it the newest and
+    # evicts nothing
+    tlb.insert(5, 0x55)
+    assert list(tlb.entries) == [*range(1, 5), *range(6, 33), 5]
+    assert tlb.entries[5] == 0x55
 
 
 def test_l1_flush_all():

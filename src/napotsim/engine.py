@@ -146,8 +146,9 @@ class Simulation:
     def run_trace(self, trace):
         """Run the warm-up then measurement accesses; returns the stats.
 
-        Equivalent to calling translate() per address but batched for speed;
-        cached translations survive into the measurement phase.
+        Equivalent to calling translate() per address, up to one that
+        raises, but batched for speed: the counters keep the accesses before
+        it. Cached translations survive into the measurement phase.
         """
         self.phase = WARMUP
         self._run_phase(trace.warmup, self.stats.warmup)
@@ -174,45 +175,48 @@ class Simulation:
                 for page in reversed(pages):
                     l1_entries.move_to_end(page)
                 l1_hits = total
-        if l1_hits != total:
-            # the per-access reference path; names are bound locally because
-            # an attribute lookup per access is a large share of an L1 hit
-            l1_get = l1_entries.get
-            l1_move = l1_entries.move_to_end
-            l1_insert = self.l1.insert
-            l2_lookup = self.l2.lookup
-            l2_insert = self.l2.insert
-            root_ppn = self.root_ppn
-            mem = self.mem
-            ptw_cache = self.ptw_cache
-            for va in addresses:
-                page = va >> PAGE_SHIFT
-                if l1_get(page) is not None:
-                    l1_move(page)
-                    l1_hits += 1
-                    continue
-                ppn = l2_lookup(page)
-                if ppn is not None:
-                    l2_hits += 1
-                    l1_insert(page, ppn)
-                    continue
-                result = walk(root_ppn, mem, ptw_cache, va)
-                if result.faulted:
-                    raise UnmappedAccessError(f"no mapping behind va {va:#x}")
-                walks += 1
-                walk_reads += result.memory_reads
-                l1_insert(page, l2_insert(page, result.pte))
-        l1_misses = total - l1_hits
-        latency = self.latency
-        stats.accesses += total
-        stats.l1_hits += l1_hits
-        stats.l1_misses += l1_misses
-        stats.l2_hits += l2_hits
-        stats.l2_misses += l1_misses - l2_hits
-        stats.walks += walks
-        stats.walk_memory_reads += walk_reads
-        stats.total_cycles += (
-            total * latency.l1_hit_cycles
-            + l1_misses * latency.l2_lookup_cycles
-            + walk_reads * latency.mem_read_cycles
-        )
+        try:
+            if l1_hits != total:
+                # the per-access reference path; names are bound locally because
+                # an attribute lookup per access is a large share of an L1 hit
+                l1_get = l1_entries.get
+                l1_move = l1_entries.move_to_end
+                l1_insert = self.l1.insert
+                l2_lookup = self.l2.lookup
+                l2_insert = self.l2.insert
+                root_ppn = self.root_ppn
+                mem = self.mem
+                ptw_cache = self.ptw_cache
+                for va in addresses:
+                    page = va >> PAGE_SHIFT
+                    if l1_get(page) is not None:
+                        l1_move(page)
+                        l1_hits += 1
+                        continue
+                    ppn = l2_lookup(page)
+                    if ppn is not None:
+                        l2_hits += 1
+                        l1_insert(page, ppn)
+                        continue
+                    result = walk(root_ppn, mem, ptw_cache, va)
+                    if result.faulted:
+                        raise UnmappedAccessError(f"no mapping behind va {va:#x}")
+                    walks += 1
+                    walk_reads += result.memory_reads
+                    l1_insert(page, l2_insert(page, result.pte))
+        finally:
+            done = l1_hits + l2_hits + walks
+            l1_misses = done - l1_hits
+            latency = self.latency
+            stats.accesses += done
+            stats.l1_hits += l1_hits
+            stats.l1_misses += l1_misses
+            stats.l2_hits += l2_hits
+            stats.l2_misses += l1_misses - l2_hits
+            stats.walks += walks
+            stats.walk_memory_reads += walk_reads
+            stats.total_cycles += (
+                done * latency.l1_hit_cycles
+                + l1_misses * latency.l2_lookup_cycles
+                + walk_reads * latency.mem_read_cycles
+            )

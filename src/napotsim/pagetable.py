@@ -1,15 +1,17 @@
 """Synthetic sv39 page tables in simulated physical memory, plus the walker.
 
-Simulated memory is a plain dict from the byte address of each 64-bit word
-to that word; unwritten words read as zero. table_frames decides which
-frame holds each table of the three-level radix tree for a list of mapped
-regions, and build_page_tables writes the tree's raw PTE words there.
-4KB regions get one level-0 leaf per page; 64KB regions get 16 identical
-NAPOT leaves per group, since every slot of a group must carry the marked
-entry. walk traverses the tree through a small LRU cache of non-leaf PTEs
-and reports how many memory reads it cost.
+Simulated memory is a dict from the frame number of each table to that
+table's 512 raw PTE words, one array('Q') per frame; a frame not in the
+dict reads as all zeros. table_frames decides which frame holds each table
+of the three-level radix tree for a list of mapped regions, and
+build_page_tables writes the tree's raw PTE words there. 4KB regions get
+one level-0 leaf per page; 64KB regions get 16 identical NAPOT leaves per
+group, since every slot of a group must carry the marked entry. walk
+traverses the tree through a small LRU cache of non-leaf PTEs and reports
+how many memory reads it cost.
 """
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import AlignmentError, RegionOverlapError, SuperpageError
@@ -20,6 +22,7 @@ from .sv39 import (
     NAPOT_PAGES,
     NAPOT_PPN_PATTERN,
     NAPOT_SHIFT,
+    PAGE_BYTES,
     PAGE_SHIFT,
     PPN_MASK,
     PTE_N,
@@ -37,6 +40,8 @@ from .sv39 import (
 from .tlb import LruCache
 
 PTW_CACHE_ENTRIES = 8
+# what walk reads from a frame that memory does not hold
+EMPTY_FRAME = (0,) * (LEVEL_MASK + 1)
 
 
 @dataclass(frozen=True)
@@ -145,21 +150,20 @@ def table_frames(regions):
 def build_page_tables(regions):
     """Construct the radix tree for the regions; returns (memory, root frame).
 
-    The tables sit in the frames table_frames(regions) gives them. The
-    pointer words go in first, then each 2MB slot's leaves with one dict
-    update, in page order. Leaves are R+W.
+    memory maps the root and each frame table_frames(regions) gives a table
+    to that table's 512 words, zeroed before the pointers go in. Each 2MB
+    slot's leaves are then written with one slice assignment, in page
+    order. Leaves are R+W.
     """
     regions = validate_regions(regions)
     root, tables = table_frames(regions)
-    mem = {}
+    mem = {frame: array("Q", bytes(PAGE_BYTES)) for frame in (root, *tables.values())}
     for key, frame in tables.items():
         # a level-2 pointer sits in the root, a level-1 one in its 1GB
         # slot's table; either way at the low 9 bits of its VPN prefix
         prefix, level = key >> 2, key & 3
         parent = root if level == 2 else tables[((prefix >> LEVEL_BITS) << 2) | 2]
-        mem[(parent << PAGE_SHIFT) | ((prefix & LEVEL_MASK) << 3)] = (
-            (frame << PTE_PPN_SHIFT) | PTE_V
-        )
+        mem[parent][prefix & LEVEL_MASK] = (frame << PTE_PPN_SHIFT) | PTE_V
     for region in regions:
         base_vpn = (region.base_va >> PAGE_SHIFT) & VPN_MASK
         napot = region.page_size == PageSize.PAGE_64K
@@ -169,9 +173,6 @@ def build_page_tables(regions):
             vpn = base_vpn + i
             # pages i..end-1 share vpn's 2MB slot and so its level-0 table
             end = min(region.num_pages, i + LEVEL_MASK + 1 - (vpn & LEVEL_MASK))
-            table = tables[((vpn >> LEVEL_BITS) << 2) | 1]
-            first = (table << PAGE_SHIFT) | ((vpn & LEVEL_MASK) << 3)
-            addresses = range(first, first + ((end - i) << 3), 8)
             # a leaf word grows by 1 << PTE_PPN_SHIFT per frame: the flags
             # sit below the PPN field
             ppn = region.base_ppn + i
@@ -181,12 +182,13 @@ def build_page_tables(regions):
                 step = NAPOT_PAGES << PTE_PPN_SHIFT
                 word = ((ppn | NAPOT_PPN_PATTERN) << PTE_PPN_SHIFT) | leaf_flags
                 groups = range(word, word + ((end - i) >> NAPOT_SHIFT) * step, step)
-                words = [w for w in groups for _ in range(NAPOT_PAGES)]
+                words = array("Q", [w for w in groups for _ in range(NAPOT_PAGES)])
             else:
                 step = 1 << PTE_PPN_SHIFT
                 word = (ppn << PTE_PPN_SHIFT) | leaf_flags
-                words = range(word, word + (end - i) * step, step)
-            mem.update(zip(addresses, words))
+                words = array("Q", range(word, word + (end - i) * step, step))
+            first = vpn & LEVEL_MASK
+            mem[tables[((vpn >> LEVEL_BITS) << 2) | 1]][first:first + end - i] = words
             i = end
     return mem, root
 
@@ -218,7 +220,7 @@ def walk(root_ppn, mem, cache, va):
     reads = 0
     while True:
         shift = 9 * level
-        pte = mem.get((table << PAGE_SHIFT) | (((vpn >> shift) & LEVEL_MASK) << 3), 0)
+        pte = mem.get(table, EMPTY_FRAME)[(vpn >> shift) & LEVEL_MASK]
         reads += 1
         if pte & PTE_N:
             check_napot_shape(pte, level)

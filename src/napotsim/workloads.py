@@ -64,8 +64,8 @@ def gen_trace(spec, base_va):
     (random).
 
     The warm-up is a range, and the measured phase is a list in which all
-    accesses to one page share one int, so a trace holds at most one int
-    object per page rather than one per access.
+    accesses to one page share the warm-up's int for it, so a trace holds
+    one int object per page picked rather than one per access.
     """
     warmup = range(base_va, base_va + spec.chunk_bytes, PAGE_BYTES)
     if spec.pattern == "linear":
@@ -75,7 +75,11 @@ def gen_trace(spec, base_va):
     else:
         rng = np.random.Generator(np.random.Philox(spec.seed))
         picks = rng.integers(0, spec.num_pages, size=spec.measured_accesses)
-        measurement = np.array(warmup, dtype=object)[picks].tolist()
+        touched = np.zeros(spec.num_pages, dtype=bool)
+        touched[picks] = True
+        pages = np.empty(spec.num_pages, dtype=object)
+        pages[touched] = [warmup[p] for p in np.flatnonzero(touched).tolist()]
+        measurement = pages[picks].tolist()
     return AccessTrace(warmup, measurement)
 
 

@@ -3,7 +3,11 @@
 V is bit 0, R/W/X are bits 1-3, the PPN is bits 53:10 and the SVNAPOT N
 bit is bit 63. Nothing here reads napotsim's constants, so these words are
 also an independent oracle of the layout the page-table builder writes.
+Simulated memory maps each table's frame number to its 512 words;
+words_of and frames_of convert it to and from {byte address: word}.
 """
+
+from array import array
 
 V = 1 << 0
 R = 1 << 1
@@ -26,3 +30,22 @@ def napot_leaf(base_frame):
 def pointer(ppn):
     """A valid pointer to the next-level table in frame ppn (R=W=X=0)."""
     return (ppn << 10) | V
+
+
+def words_of(mem):
+    """Frame memory as {byte address: word} over its nonzero words."""
+    return {
+        (frame << 12) | (index << 3): word
+        for frame, words in mem.items()
+        for index, word in enumerate(words)
+        if word
+    }
+
+
+def frames_of(words):
+    """Frame memory, {frame: 512 words}, holding the {byte address: word} map."""
+    mem = {}
+    for address, word in words.items():
+        frame = mem.setdefault(address >> 12, array("Q", bytes(4096)))
+        frame[(address >> 3) & 511] = word
+    return mem

@@ -50,13 +50,14 @@ def sim_64k(length=1 << 20, **kwargs):
 
 
 class CountingMem(dict):
-    """Simulated memory that counts the reads the walker makes."""
+    """Simulated memory that counts the reads the walker makes: one frame
+    fetch per PTE read."""
 
     reads = 0
 
-    def get(self, addr, default=None):
+    def get(self, frame, default=None):
         self.reads += 1
-        return super().get(addr, default)
+        return super().get(frame, default)
 
 
 def expected_cycles(stats, latency=LatencyModel()):
@@ -132,6 +133,15 @@ def test_unmapped_access_raises():
     assert sim.stats == SimStats()
     with pytest.raises(UnmappedAccessError):
         sim.run_trace(AccessTrace([], [BASE_VA + KB4]))
+    assert sim.stats == SimStats()
+    # a walk before the fault is counted; the faulting walk's reads are not
+    sim = sim_4k(length=KB4)
+    with pytest.raises(UnmappedAccessError):
+        sim.run_trace(AccessTrace([], [BASE_VA, BASE_VA + KB4]))
+    assert sim.stats.measurement == PhaseStats(
+        accesses=1, l1_misses=1, l2_misses=1, walks=1, walk_memory_reads=3,
+        total_cycles=1 + 3 + 3 * 30,
+    )
 
 
 def test_non_canonical_access_raises():
@@ -196,13 +206,16 @@ def test_phase_that_opens_with_a_hit_and_later_walks():
 def test_resident_phase_with_a_non_canonical_va_raises():
     # bit 40 falls outside the 27-bit VPN, so this VA's VPN is a's, which
     # is resident; but the TLBs are keyed by VA bits 63:12, so it misses
-    # both and walk's canonicality check stops it
+    # both and walk's canonicality check stops it; the hit on a before it is
+    # counted, as translate() would count it, and nothing after it is
     a, b = BASE_VA, BASE_VA + KB4
     sim = warm_l1(2)
     before = deepcopy(sim.stats)
     with pytest.raises(CanonicalityError, match=f"va {a | 1 << 40:#x}"):
         sim.run_trace(AccessTrace([], [a, a | 1 << 40, b]))
-    assert sim.stats == before
+    assert sim.stats.warmup == before.warmup
+    assert sim.stats.measurement == PhaseStats(accesses=1, l1_hits=1, total_cycles=1)
+    assert list(sim.l1.entries) == [vpn(b), vpn(a)]
 
 
 def test_empty_trace_runs():

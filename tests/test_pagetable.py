@@ -10,6 +10,7 @@ contiguous frames in order.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -29,7 +30,7 @@ from napotsim.pagetable import (
     walk,
 )
 from napotsim.sv39 import PPN_MASK, PageSize, decode_pte, napot_translate
-from ptes import N, R, W, leaf, napot_leaf, pointer
+from ptes import N, R, W, frames_of, leaf, napot_leaf, pointer, words_of
 
 GB = 1 << 30
 MB2 = 2 << 20
@@ -53,17 +54,19 @@ def expected_frame(region, va):
 
 
 class CountingMem(dict):
-    """Simulated memory that counts the reads the walker makes."""
+    """Simulated memory that counts the reads the walker makes: one frame
+    fetch per PTE read."""
 
     reads = 0
 
-    def get(self, addr, default=None):
+    def get(self, frame, default=None):
         self.reads += 1
-        return super().get(addr, default)
+        return super().get(frame, default)
 
 
 def count_table_pages(mem, root):
     """Structural reader: count reachable table frames."""
+    mem = words_of(mem)
     frames = {root}
     for slot2 in range(512):
         raw2 = mem.get((root << 12) | (slot2 << 3), 0)
@@ -82,6 +85,7 @@ def count_table_pages(mem, root):
 
 def read_leaf(mem, root, va):
     """Follow the tree by hand down to the raw leaf."""
+    mem = words_of(mem)
     vpn = (va >> 12) & ((1 << 27) - 1)
     raw = mem.get((root << 12) | ((vpn >> 18) << 3), 0)
     pte2 = decode_pte(raw, level=2)
@@ -137,7 +141,8 @@ def test_build_single_4k_region():
     assert count_table_pages(mem, root) == expected_table_pages([region]) == 3
     # root above the leaf's frame, then the 1GB slot's table and the 2MB one
     assert table_frames([region]) == (0x1001, {0b10: 0x1002, 0b01: 0x1003})
-    assert len(mem) == 3  # two pointers and one leaf
+    assert len(words_of(mem)) == 3  # two pointers and one leaf
+    assert sorted(mem) == [0x1001, 0x1002, 0x1003]  # one frame per table
     leaf = read_leaf(mem, root, 0)
     assert leaf.valid and leaf.is_leaf and not leaf.n_bit
     assert leaf.ppn == 0x1000
@@ -161,7 +166,7 @@ def test_build_writes_spec_layout():
     }
     for k in range(16):
         expected[(0x2012 << 12) | ((16 + k) << 3)] = napot_leaf(0x2000)
-    assert mem == expected
+    assert words_of(mem) == expected
 
 
 @pytest.mark.parametrize("page_size", PageSize.ALL)
@@ -186,8 +191,9 @@ def test_build_region_across_three_level0_tables(page_size):
         else:
             word = leaf(0x10000 + page)
         expected[(table << 12) | (index << 3)] = word
-    assert len(mem) == 1 + 3 + pages
-    assert mem == expected
+    assert len(words_of(mem)) == 1 + 3 + pages
+    assert words_of(mem) == expected
+    assert len(mem) == 1 + 1 + 3  # root, level-1 table, three level-0 tables
 
 
 def test_build_64k_region_fills_group():
@@ -274,6 +280,9 @@ def test_build_puts_each_table_where_table_frames_says(regions):
     root, tables = table_frames(regions)
     mem, built_root = build_page_tables(regions)
     assert built_root == root
+    assert mem.keys() == {root, *tables.values()}
+    assert all(len(words) == 512 for words in mem.values())
+    mem = words_of(mem)
     pointers = [word for word in mem.values() if word & 0b1111 == 1]
     assert sorted(word >> 10 for word in pointers) == sorted(tables.values())
     for key, frame in tables.items():
@@ -378,6 +387,9 @@ TO_L1, TO_L0 = pointer(2), pointer(3)
         ([TO_L1, leaf(0x200)], (SuperpageError, "2MB leaf")),
         ([TO_L1, TO_L0 | N], (MalformedNapotError, "non-leaf or level-1 entry")),
         ([TO_L1, 0], (True, 2)),
+        # a pointer to a frame memory does not hold reads that frame as zeros
+        ([TO_L1], (True, 2)),
+        ([TO_L1, TO_L0], (True, 3)),
         ([TO_L1, TO_L0, pointer(4)], (True, 3)),
         ([TO_L1, TO_L0, pointer(0x18) | N], (MalformedNapotError, "non-leaf")),
         ([TO_L1, TO_L0, leaf(0x17, napot=True)], (MalformedNapotError, "lacks the 64KB")),
@@ -388,7 +400,8 @@ TO_L1, TO_L0 = pointer(2), pointer(3)
     ],
     ids=[
         "invalid-root", "1gb-leaf", "n-on-l2-pointer", "n-on-l2-leaf",
-        "2mb-leaf", "n-on-l1-pointer", "invalid-l1", "pointer-at-l0",
+        "2mb-leaf", "n-on-l1-pointer", "invalid-l1", "absent-l1-frame",
+        "absent-l0-frame", "pointer-at-l0",
         "n-pointer-at-l0", "n-leaf-bad-nibble", "invalid-n-leaf", "4kb-leaf",
         "napot-leaf", "w-only-leaf",
     ],
@@ -396,7 +409,7 @@ TO_L1, TO_L0 = pointer(2), pointer(3)
 def test_walk_on_hand_written_tree(words, outcome):
     # root in frame 1, level-1 table in frame 2, level-0 table in frame 3;
     # va 0 uses slot 0 of each
-    mem = {frame << 12: word for frame, word in enumerate(words, start=1)}
+    mem = frames_of({frame << 12: word for frame, word in enumerate(words, start=1)})
     first, second = outcome
     if isinstance(first, type):
         with pytest.raises(first, match=second):
@@ -404,6 +417,19 @@ def test_walk_on_hand_written_tree(words, outcome):
     else:
         result = walk(1, mem, PtwCache(), 0)
         assert (result.faulted, result.memory_reads) == outcome
+
+
+def test_256mb_4k_build_holds_under_1mb():
+    # 65536 leaves in 128 level-0 frames, plus the root and one level-1 table
+    region = RegionSpec(0x4000_0000, 256 << 20, PageSize.PAGE_4K, 0x10000)
+    tracemalloc.start()
+    try:
+        mem, _ = build_page_tables([region])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mem) == 130
+    assert held < 1 << 20
 
 
 def test_walk_rejects_non_canonical():

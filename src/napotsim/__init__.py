@@ -6,6 +6,7 @@ from .engine import (
     MEASUREMENT,
     WALK,
     WARMUP,
+    CyclicPhase,
     LatencyModel,
     PhaseStats,
     Simulation,

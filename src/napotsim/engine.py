@@ -10,7 +10,9 @@ Both TLBs are keyed by va >> PAGE_SHIFT, and only VAs walk found canonical
 fill them: a non-canonical access misses both, and walk raises on it.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, cycle, islice
 
 from .errors import InvariantError, UnmappedAccessError
 from .pagetable import PTW_CACHE_ENTRIES, PtwCache, build_page_tables, walk
@@ -24,6 +26,50 @@ PHASES = (WARMUP, MEASUREMENT)
 L1_HIT = "l1_hit"
 L2_HIT = "l2_hit"
 WALK = "walk"
+
+
+@dataclass(frozen=True)
+class CyclicPhase(Sequence):
+    """A read-only phase of length addresses: period repeated cyclically.
+
+    It holds only the period and the length, and iterates in C through
+    islice(cycle(period)). The length is not called count, which would hide
+    Sequence.count.
+    """
+
+    period: Sequence
+    length: int
+
+    def __post_init__(self):
+        if self.length < 0:
+            raise ValueError("length must be non-negative")
+        if self.length and not self.period:
+            raise ValueError("a non-empty cyclic phase needs a non-empty period")
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(self.length)[index]]
+        if index < 0:
+            index += self.length
+        if not 0 <= index < self.length:
+            raise IndexError("cyclic phase index out of range")
+        return self.period[index % len(self.period)]
+
+    def __iter__(self):
+        return islice(cycle(self.period), self.length)
+
+    def __reversed__(self):
+        if not self.length:
+            return iter(())
+        # the last length % P accesses start a period; before them, whole ones
+        rest = self.length % len(self.period)
+        return chain(
+            reversed(self.period[:rest]),
+            islice(cycle(reversed(self.period)), self.length - rest),
+        )
 
 
 @dataclass(frozen=True)
@@ -167,9 +213,13 @@ class Simulation:
         # only pages resident when it starts is n hits, and it leaves the
         # touched pages in last-touch order after the untouched ones. The
         # first access is tested alone so that most phases that miss skip
-        # the scan.
+        # the scan. A cyclic phase's last period holds each of its addresses
+        # in last-touch order, so only that is scanned.
         if total and addresses[0] >> PAGE_SHIFT in l1_entries:
-            by_last_touch = dict.fromkeys(reversed(addresses))
+            latest_first = reversed(addresses)
+            if isinstance(addresses, CyclicPhase):
+                latest_first = islice(latest_first, len(addresses.period))
+            by_last_touch = dict.fromkeys(latest_first)
             pages = dict.fromkeys(va >> PAGE_SHIFT for va in by_last_touch)
             if l1_entries.keys() >= pages.keys():
                 for page in reversed(pages):

@@ -7,15 +7,15 @@ cyclically (linear) or uniform page picks from a counter-based generator
 (random), so a (seed, chunk) pair always reproduces the same trace.
 """
 
-import itertools
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PHASES
+from .engine import PHASES, CyclicPhase
 from .pagetable import RegionSpec
-from .sv39 import PAGE_BYTES, PageSize, is_canonical
+from .sv39 import PAGE_BYTES, PAGE_SHIFT, PageSize, is_canonical
 
 PATTERNS = ("linear", "random")
 CHUNK_MIN_BYTES = 4 << 10
@@ -52,7 +52,12 @@ class WorkloadSpec:
 
 @dataclass
 class AccessTrace:
-    """The two phases of a trace, each a sequence of virtual addresses."""
+    """The two phases of a trace, each a sequence of virtual addresses.
+
+    Any sequence the engine can take a length, an item and reversed() of
+    will do: read_trace gives lists, gen_trace a range for the warm-up and a
+    CyclicPhase or an array('Q') for the measured phase.
+    """
 
     warmup: Sequence[int]
     measurement: Sequence[int]
@@ -63,23 +68,26 @@ def gen_trace(spec, base_va):
     repeated cyclically (linear) or uniform page picks from a Philox stream
     (random).
 
-    The warm-up is a range, and the measured phase is a list in which all
-    accesses to one page share the warm-up's int for it, so a trace holds
-    one int object per page picked rather than one per access.
+    The warm-up is a range. A linear measured phase is a CyclicPhase over
+    that range, which holds no address of its own. A random one is an
+    array('Q'), eight bytes per access. A chunk must lie in [0, 2**64), so
+    no address wraps in the unsigned array; base_va is checked for that.
     """
+    if base_va < 0 or base_va + spec.chunk_bytes > 1 << 64:
+        raise ValueError(
+            f"base_va {base_va:#x}: a {spec.chunk_bytes:#x}-byte chunk there "
+            "is not inside [0, 2**64)"
+        )
     warmup = range(base_va, base_va + spec.chunk_bytes, PAGE_BYTES)
     if spec.pattern == "linear":
-        measurement = list(
-            itertools.islice(itertools.cycle(warmup), spec.measured_accesses)
-        )
-    else:
-        rng = np.random.Generator(np.random.Philox(spec.seed))
-        picks = rng.integers(0, spec.num_pages, size=spec.measured_accesses)
-        touched = np.zeros(spec.num_pages, dtype=bool)
-        touched[picks] = True
-        pages = np.empty(spec.num_pages, dtype=object)
-        pages[touched] = [warmup[p] for p in np.flatnonzero(touched).tolist()]
-        measurement = pages[picks].tolist()
+        return AccessTrace(warmup, CyclicPhase(warmup, spec.measured_accesses))
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    vas = rng.integers(0, spec.num_pages, size=spec.measured_accesses,
+                       dtype=np.uint64)
+    vas <<= np.uint64(PAGE_SHIFT)
+    vas += np.uint64(base_va)
+    measurement = array("Q")
+    measurement.frombytes(vas.data.cast("B"))
     return AccessTrace(warmup, measurement)
 
 

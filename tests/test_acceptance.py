@@ -29,12 +29,16 @@ Numbered checks:
     and leaves every other set untouched, over 1,000 random TLB states.
 10. Determinism: rerunning the default sweep with two workers reproduces
     the serial CSV byte for byte.
+11. Linear closed form: every linear row, warm-up and measurement, equals
+    the closed form of tests/linear_oracle.py, which shares no code with
+    the simulator.
 """
 
 import random
 
 import pytest
 
+from linear_oracle import linear_counters
 from napotsim.engine import L1_HIT, L2_HIT, WALK, Simulation
 from napotsim.pagetable import RegionSpec
 from napotsim.sv39 import PageSize
@@ -281,3 +285,25 @@ def test_10_determinism(grid, tmp_path):
     if first.read_bytes() != second.read_bytes():
         problems.append("reruns differ")
     report(10, "default sweep is byte-identical", problems)
+
+
+def test_11_linear_closed_form(grid):
+    config, rows, _ = grid
+    by_id = {c.config_id: c for c in config.configs}
+    problems = []
+    checked = 0
+    for row in rows:
+        if row.pattern != "linear":
+            continue
+        tlb = by_id[row.config_id]
+        want = linear_counters(
+            row.chunk_bytes, tlb.page_size == PageSize.PAGE_64K, tlb.ways,
+            config.measured_accesses,
+        )[row.phase]
+        got = {name: getattr(row, name) for name in want}
+        if got != want:
+            problems.append(f"cfg {row.config_id} {row.chunk_bytes} {row.phase}")
+        checked += 1
+    if checked != 136:
+        problems.append(f"{checked} linear rows, expected 136")
+    report(11, "linear rows match the closed form", problems)

@@ -5,10 +5,12 @@ import hashlib
 import math
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 
+from napotsim.engine import CyclicPhase
 from napotsim.errors import AlignmentError
 from napotsim.sv39 import PageSize
 from napotsim.workloads import (
@@ -96,7 +98,7 @@ def test_random_trace_seeded_reproducible():
 def test_random_trace_single_page_chunk():
     spec = WorkloadSpec(KB4, "random", measured_accesses=50)
     trace = gen_trace(spec, BASE)
-    assert trace.measurement == [BASE] * 50
+    assert list(trace.measurement) == [BASE] * 50
 
 
 def test_random_trace_is_roughly_uniform():
@@ -144,35 +146,61 @@ def test_gen_trace_golden(pattern, chunk, seed, accesses, base, first, last, dig
     assert hashlib.sha256(text).hexdigest()[:16] == digest
 
 
-def test_trace_holds_one_int_per_page():
-    for pattern in ("linear", "random"):
-        spec = WorkloadSpec(1 << 20, pattern, seed=2, measured_accesses=5000)
-        trace = gen_trace(spec, BASE)
-        assert len({id(va) for va in trace.measurement}) <= spec.num_pages
-        # the engine reads the phase's length, first access and reverse order
-        warmup = trace.warmup
-        assert len(warmup) == spec.num_pages
-        assert (warmup[0], warmup[-1]) == (BASE, BASE + (1 << 20) - KB4)
-        assert list(reversed(warmup)) == list(warmup)[::-1]
-
-
-def test_random_trace_memory_bound():
-    # a 256MB chunk has 65536 pages; one int per access held about 43 MB
-    # after the build and peaked near 59 MB while it ran
-    spec = WorkloadSpec(256 << 20, "random", seed=0)
+def traced_bytes(build):
+    """What build() returns, and the bytes it holds and peaked at."""
     tracemalloc.start()
     try:
-        trace = gen_trace(spec, BASE)
+        result = build()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, held, peak
+
+
+def test_trace_bytes_per_access():
+    # a linear phase is its period and a count, a random one eight bytes
+    # per access; the warm-up is a range either way
+    accesses = 200_000
+    for pattern, kind, per_access in (
+        ("linear", CyclicPhase, 0.01),
+        ("random", array, 8.6),
+    ):
+        spec = WorkloadSpec(16 << 20, pattern, seed=2, measured_accesses=accesses)
+        trace, held, _ = traced_bytes(lambda: gen_trace(spec, BASE))
+        assert isinstance(trace.measurement, kind)
+        assert len(trace.measurement) == accesses
+        assert held < per_access * accesses, (pattern, held)
+        # the engine reads the phase's length, first access and reverse order
+        warmup = trace.warmup
+        assert isinstance(warmup, range) and len(warmup) == spec.num_pages
+        assert (warmup[0], warmup[-1]) == (BASE, BASE + (16 << 20) - KB4)
+
+
+def test_random_trace_memory_bound():
+    # 1M accesses over 65536 pages: the array('Q') holds 9.26 MB, and the
+    # build peaks at 17.26 MB while numpy's draws exist too
+    spec = WorkloadSpec(256 << 20, "random", seed=0)
+    trace, held, peak = traced_bytes(lambda: gen_trace(spec, BASE))
     assert len(trace.measurement) == 1_000_000
-    assert held < 16e6
-    assert peak < 32e6
+    assert held < 10e6
+    assert peak < 18.5e6
+
+
+def test_gen_trace_rejects_a_chunk_outside_64_bits():
+    top = (1 << 64) - (1 << 20)
+    for pattern in ("linear", "random"):
+        # the last chunk that fits
+        trace = gen_trace(WorkloadSpec(1 << 20, pattern, measured_accesses=3), top)
+        assert all(top <= va < 1 << 64 for va in trace.measurement)
+        for base, size in ((top + KB4, 1 << 20), (top, 2 << 20), (-KB4, KB4)):
+            spec = WorkloadSpec(size, pattern, measured_accesses=3)
+            with pytest.raises(ValueError, match=f"^base_va {base:#x}: "):
+                gen_trace(spec, base)
 
 
 def test_gen_trace_dispatch_and_pattern_check():
-    assert gen_trace(WorkloadSpec(KB4, "linear", measured_accesses=1), BASE).measurement == [BASE]
+    trace = gen_trace(WorkloadSpec(KB4, "linear", measured_accesses=1), BASE)
+    assert list(trace.measurement) == [BASE]
 
 
 def test_make_regions_4k():

@@ -12,7 +12,7 @@ fill them: a non-canonical access misses both, and walk raises on it.
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, cycle, islice
+from itertools import cycle, islice
 
 from .errors import InvariantError, UnmappedAccessError
 from .pagetable import PTW_CACHE_ENTRIES, PtwCache, build_page_tables, walk
@@ -33,8 +33,9 @@ class CyclicPhase(Sequence):
     """A read-only phase of length addresses: period repeated cyclically.
 
     It holds only the period and the length, and iterates in C through
-    islice(cycle(period)). The length is not called count, which would hide
-    Sequence.count.
+    islice(cycle(period)). An item is taken by int index only: there is no
+    slicing, and reversed() is Sequence's, one index at a time. The length
+    is not called count, which would hide Sequence.count.
     """
 
     period: Sequence
@@ -50,26 +51,10 @@ class CyclicPhase(Sequence):
         return self.length
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(self.length)[index]]
-        if index < 0:
-            index += self.length
-        if not 0 <= index < self.length:
-            raise IndexError("cyclic phase index out of range")
-        return self.period[index % len(self.period)]
+        return self.period[range(self.length)[index] % len(self.period)]
 
     def __iter__(self):
         return islice(cycle(self.period), self.length)
-
-    def __reversed__(self):
-        if not self.length:
-            return iter(())
-        # the last length % P accesses start a period; before them, whole ones
-        rest = self.length % len(self.period)
-        return chain(
-            reversed(self.period[:rest]),
-            islice(cycle(reversed(self.period)), self.length - rest),
-        )
 
 
 @dataclass(frozen=True)

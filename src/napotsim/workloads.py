@@ -115,9 +115,10 @@ def write_trace(trace, path):
 def read_trace(path):
     """Parse a file written by write_trace back into an AccessTrace.
 
-    A malformed line, or a value that is not a canonical sv39 address,
-    raises ValueError naming its line number and text. Bytes that are not
-    UTF-8 are kept as escapes, so such a line fails like any other.
+    Each phase is marked at most once, in PHASES order. A malformed line, a
+    marker out of that order, or a value that is not a canonical sv39
+    address raises ValueError naming its line number and text. Bytes that
+    are not UTF-8 are kept as escapes, so such a line fails like any other.
     """
     phases = {phase: [] for phase in PHASES}
     current = None
@@ -130,7 +131,11 @@ def read_trace(path):
                 name = line.split(":", 1)[1].strip()
                 if name not in phases:
                     raise ValueError(f"line {number}: unknown phase {name!r}")
-                current = phases[name]
+                if current is not None and PHASES.index(name) <= PHASES.index(current):
+                    raise ValueError(
+                        f"line {number}: phase {name!r} may not follow {current!r}"
+                    )
+                current = name
                 continue
             if line.startswith("#"):
                 continue
@@ -148,5 +153,5 @@ def read_trace(path):
                 raise ValueError(
                     f"line {number}: {line!r} is not a canonical sv39 address"
                 )
-            current.append(va)
+            phases[current].append(va)
     return AccessTrace(**phases)

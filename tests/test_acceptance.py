@@ -1,10 +1,21 @@
 """End-to-end acceptance checks over the default experiment grid.
 
 Each test prints one PASS/FAIL line (run with -s to see them on success).
-The grid fixture runs the full default sweep once (192 s on a 2-core
-host); the determinism check at the end runs it a second time, through a
-two-worker pool (101 s), so it also checks that the pooled sweep matches
-the serial one.
+The grid fixture runs the full default sweep once, through a two-worker
+pool; every grid check reads its rows. Check 10 pins the bytes of that
+sweep's CSV by two sha256 digests, so no change can move a counter of the
+product table unnoticed. Serial and pooled sweeps wrote the same bytes
+when the digests were pinned; test_sweep and test_cli still compare the
+two paths directly at small scale.
+
+A change that means to alter the table is a bug fix and says so. It runs
+the CLI on the default grid,
+
+    napotsim run --jobs 2 --out grid.csv
+    napotsim run --jobs 2 --include-warmup --out all.csv
+
+names the bug it fixes, and replaces MEASUREMENT_SHA256 and ALL_ROWS_SHA256
+below with the sha256 of grid.csv and all.csv.
 
 Numbered checks:
  1. L1 reach: config 2 linear serves every measured access from L1 up to
@@ -27,19 +38,21 @@ Numbered checks:
     discrete 4KB entries for 1,000 random frames, all offsets.
  9. Flush semantics: flushing a set empties exactly the 16-VPN group's set
     and leaves every other set untouched, over 1,000 random TLB states.
-10. Determinism: rerunning the default sweep with two workers reproduces
-    the serial CSV byte for byte.
+10. Determinism: the default sweep's CSV has the pinned sha256, both the
+    measurement rows as napotsim run writes them and every row with the
+    warm-up.
 11. Linear closed form: every linear row, warm-up and measurement, equals
     the closed form of tests/linear_oracle.py, which shares no code with
     the simulator.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from linear_oracle import linear_counters
-from napotsim.engine import L1_HIT, L2_HIT, WALK, Simulation
+from napotsim.engine import L1_HIT, L2_HIT, MEASUREMENT, WALK, Simulation
 from napotsim.pagetable import RegionSpec
 from napotsim.sv39 import PageSize
 from napotsim.sweep import ExperimentConfig, emit_csv, run_sweep
@@ -49,11 +62,16 @@ from ptes import leaf, napot_leaf
 KB = 1 << 10
 MB = 1 << 20
 
+# sha256 of the default grid's CSV: the measurement rows, which is what
+# napotsim run writes, and every row with the warm-up (--include-warmup)
+MEASUREMENT_SHA256 = "fc30172a7b15a960af2fff3556b5390dfe4b22599bd14fedfbba95a3f97026b8"
+ALL_ROWS_SHA256 = "810759288b45b15b26dc8cb31ef54d0436637254778172616f21cc5e5f302b0d"
+
 
 @pytest.fixture(scope="module")
 def grid():
     config = ExperimentConfig()
-    rows = run_sweep(config)
+    rows = run_sweep(config, jobs=2)
     index = {(r.config_id, r.pattern, r.chunk_bytes, r.phase): r for r in rows}
     return config, rows, index
 
@@ -275,16 +293,19 @@ def test_09_flush_semantics():
 
 
 def test_10_determinism(grid, tmp_path):
-    config, rows, _ = grid
-    again = run_sweep(ExperimentConfig(), jobs=2)
-    first = tmp_path / "first.csv"
-    second = tmp_path / "second.csv"
-    emit_csv(rows, first)
-    emit_csv(again, second)
+    _, rows, _ = grid
+    path = tmp_path / "grid.csv"
     problems = []
-    if first.read_bytes() != second.read_bytes():
-        problems.append("reruns differ")
-    report(10, "default sweep is byte-identical", problems)
+    for name, subset, want in (
+        ("measurement rows", [r for r in rows if r.phase == MEASUREMENT],
+         MEASUREMENT_SHA256),
+        ("all rows", rows, ALL_ROWS_SHA256),
+    ):
+        emit_csv(subset, path)
+        got = hashlib.sha256(path.read_bytes()).hexdigest()
+        if got != want:
+            problems.append(f"{name}: sha256 {got} != {want}")
+    report(10, "default grid CSV has pinned bytes", problems)
 
 
 def test_11_linear_closed_form(grid):

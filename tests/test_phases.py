@@ -40,18 +40,14 @@ def test_cyclic_phase_reads_as_its_list():
         for index in (length, -length - 1, length + 5):
             with pytest.raises(IndexError):
                 phase[index]
-        for start in (None, 0, 2, -3, 6, 40):
-            for stop in (None, 0, 4, -1, 11, 40):
-                for step in (None, 1, 2, 3, -1, -2):
-                    s = slice(start, stop, step)
-                    assert phase[s] == want[s], (length, s)
+        with pytest.raises(TypeError):
+            phase[1:]
 
 
 def test_cyclic_phase_ends():
     phase = CyclicPhase(range(BASE_VA, BASE_VA + 3 * KB4, KB4), 1_000_000)
     assert (phase[0], phase[-1]) == (BASE_VA, BASE_VA)  # 1_000_000 % 3 == 1
     assert phase[-2] == BASE_VA + 2 * KB4
-    assert phase[999_998:] == [BASE_VA + 2 * KB4, BASE_VA]
     assert next(reversed(phase)) == BASE_VA
 
 

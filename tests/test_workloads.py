@@ -57,8 +57,9 @@ def test_linear_trace_layout():
     trace = gen_trace(spec, BASE)
     assert list(trace.warmup) == [BASE + p * KB4 for p in range(16)]
     # measurement repeats the same pass cyclically
-    assert trace.measurement[:16] == list(trace.warmup)
-    assert trace.measurement[16:32] == list(trace.warmup)
+    measured = list(trace.measurement)
+    assert measured[:16] == list(trace.warmup)
+    assert measured[16:32] == list(trace.warmup)
     assert len(trace.measurement) == 40
 
 
@@ -259,6 +260,12 @@ def test_read_trace_rejects_stray_lines(tmp_path):
         ("# note\n\n0x2000\n", r"line 3: address '0x2000' before any"),
         ("# phase: warmup\n0x1000\nzz\n", r"line 3: 'zz' is not a hex address"),
         ("# phase: warmup\n# phase: cooldown\n", r"line 2: unknown phase 'cooldown'"),
+        ("# phase: warmup\n0x1000\n# phase: warmup\n0x2000\n",
+         r"line 3: phase 'warmup' may not follow 'warmup'"),
+        # warmup a / measurement b / warmup c would replay c before b
+        ("# phase: warmup\n0x1000\n# phase: measurement\n0x2000\n"
+         "# phase: warmup\n0x3000\n",
+         r"line 5: phase 'warmup' may not follow 'measurement'"),
         ("# phase: warmup\n-0x1000\n",
          r"line 2: '-0x1000' is not a canonical sv39 address"),
         ("# phase: measurement\n0x10000000000000000\n",

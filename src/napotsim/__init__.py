@@ -30,12 +30,7 @@ from .pagetable import (
     build_page_tables,
     walk,
 )
-from .sv39 import (
-    PageSize,
-    PageTableEntry,
-    decode_pte,
-    napot_translate,
-)
+from .sv39 import PageSize, napot_translate
 from .sweep import (
     ExperimentConfig,
     ResultRow,

@@ -7,7 +7,6 @@ cyclically (linear) or uniform page picks from a counter-based generator
 (random), so a (seed, chunk) pair always reproduces the same trace.
 """
 
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -56,7 +55,7 @@ class AccessTrace:
 
     Any sequence the engine can take a length, an item and reversed() of
     will do: read_trace gives lists, gen_trace a range for the warm-up and a
-    CyclicPhase or an array('Q') for the measured phase.
+    CyclicPhase or a memoryview of a uint64 array for the measured phase.
     """
 
     warmup: Sequence[int]
@@ -69,9 +68,10 @@ def gen_trace(spec, base_va):
     (random).
 
     The warm-up is a range. A linear measured phase is a CyclicPhase over
-    that range, which holds no address of its own. A random one is an
-    array('Q'), eight bytes per access. A chunk must lie in [0, 2**64), so
-    no address wraps in the unsigned array; base_va is checked for that.
+    that range, which holds no address of its own. A random one is a
+    read-only memoryview of the Philox draw itself, eight bytes per access,
+    and its items are ints. A chunk must lie in [0, 2**64), so no address
+    wraps in the unsigned draw; base_va is checked for that.
     """
     if base_va < 0 or base_va + spec.chunk_bytes > 1 << 64:
         raise ValueError(
@@ -86,9 +86,7 @@ def gen_trace(spec, base_va):
                        dtype=np.uint64)
     vas <<= np.uint64(PAGE_SHIFT)
     vas += np.uint64(base_va)
-    measurement = array("Q")
-    measurement.frombytes(vas.data.cast("B"))
-    return AccessTrace(warmup, measurement)
+    return AccessTrace(warmup, vas.data.toreadonly())
 
 
 def make_regions(spec, base_va, base_ppn):

@@ -1,19 +1,20 @@
 """The compact phase forms gen_trace hands the engine.
 
 A linear measured phase is a CyclicPhase, its period and a length; a random
-one is an array('Q'). Each must read as the list of the same addresses, and
-run_trace over it must give that list's counters and final state: the L1
-order, l2.dump() and the walk-cache order. The cases reach the bulk L1
-step's cyclic scan (a period no longer than the L1), a warm-up whose first
-page is resident while others are not, lengths of 0, below one period and
-between multiples of it, odd L1 sizes, both page sizes and random L2
+one is the memoryview of a uint64 numpy array. Each must read as the list
+of the same addresses, and run_trace over it must give that list's counters
+and final state: the L1 order, l2.dump() and the walk-cache order. The
+cases reach the bulk L1 step (a period no longer than the L1), which scans
+the last period of a CyclicPhase and all of a memoryview, a warm-up whose
+first page is resident while others are not, lengths of 0, below one period
+and between multiples of it, odd L1 sizes, both page sizes and random L2
 replacement. Some periods are lists in random order with repeats, so one
-period of them stands for any access list in array('Q') form.
+period of them stands for any access list in memoryview form.
 """
 
 import random
-from array import array
 
+import numpy as np
 import pytest
 
 from napotsim.engine import CyclicPhase, Simulation
@@ -124,7 +125,8 @@ def test_compact_phases_run_as_their_lists():
         addresses = list(phase)
         want = final_state(regions, geometry, warmup, addresses)
         assert final_state(regions, geometry, warmup, phase) == want, case
-        assert final_state(regions, geometry, warmup, array("Q", addresses)) == want, case
+        view = np.array(addresses, dtype=np.uint64).data
+        assert final_state(regions, geometry, warmup, view) == want, case
         measured = want[0].measurement
         bulk += measured.l1_hits == measured.accesses > len(period)
         partial_warmup += (

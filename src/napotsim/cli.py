@@ -77,7 +77,7 @@ def _check_out_path(path):
 
 
 def _cmd_run(args):
-    if args.config:
+    if args.config is not None:
         config = load_config(args.config)
     else:
         config = ExperimentConfig().validate()
@@ -85,9 +85,9 @@ def _cmd_run(args):
         config = replace(config, seed=args.seed).validate()
     if args.include_warmup:
         config = replace(config, include_warmup=True)
-    out_path = args.out if args.out else config.out_path
+    out_path = config.out_path if args.out is None else args.out
     _check_out_path(out_path)
-    if args.plotdata:
+    if args.plotdata is not None:
         _check_out_path(args.plotdata)
         if os.path.realpath(args.plotdata) == os.path.realpath(out_path):
             raise ConfigError(f"--plotdata {args.plotdata} is also the CSV output")
@@ -100,7 +100,7 @@ def _cmd_run(args):
         out_rows = rows
     emit_csv(out_rows, out_path)
     print(f"wrote {len(out_rows)} rows to {out_path} ({elapsed:.1f}s)")
-    if args.plotdata:
+    if args.plotdata is not None:
         emit_plotdata(rows, args.plotdata)
         print(f"wrote plot data to {args.plotdata}")
     return 0

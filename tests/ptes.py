@@ -4,7 +4,8 @@ V is bit 0, R/W/X are bits 1-3, the PPN is bits 53:10 and the SVNAPOT N
 bit is bit 63. Nothing here reads napotsim's constants, so these words are
 also an independent oracle of the layout the page-table builder writes.
 Simulated memory maps each table's frame number to its 512 words;
-words_of and frames_of convert it to and from {byte address: word}.
+words_of and frames_of convert it to and from {byte address: word}, and
+CountingMem counts the walker's fetches from it.
 """
 
 from array import array
@@ -49,3 +50,14 @@ def frames_of(words):
         frame = mem.setdefault(address >> 12, array("Q", bytes(4096)))
         frame[(address >> 3) & 511] = word
     return mem
+
+
+class CountingMem(dict):
+    """Frame memory that counts the reads the walker makes: one frame fetch
+    per PTE read."""
+
+    reads = 0
+
+    def get(self, frame, default=None):
+        self.reads += 1
+        return super().get(frame, default)

@@ -149,11 +149,15 @@ base_ppn = 0xFFFFFFFFFF0
          "config 1: pattern 'linear' listed twice"),
         ("validate", "[configs]\n1 = ways=4, page=4Q\n", [],
          "[configs] 1: page: cannot parse size '4Q'"),
+        ("run", SMALL_INI, ["--config", ""], "cannot read ''"),
+        ("run", SMALL_INI, ["--out", ""], "output path is empty"),
+        ("run", SMALL_INI, ["--plotdata", ""], "output path is empty"),
     ],
     ids=["directory", "bad-sweep-value", "negative-seed", "table-frame-overflow",
          "validate-table-frame-overflow", "missing-out-dir", "missing-plotdata-dir",
          "out-is-directory", "empty-config-out", "plotdata-is-out",
-         "validate-repeated-pattern", "validate-bad-page-size"],
+         "validate-repeated-pattern", "validate-bad-page-size", "empty-config",
+         "empty-out", "empty-plotdata"],
 )
 def test_run_rejects_bad_input(tmp_path, capsys, monkeypatch, command, text, extra,
                                message):

@@ -1,4 +1,5 @@
-"""Translation pipeline accounting: paths, cycles, phases, invariants.
+"""Translation pipeline accounting: paths, cycles, phases, invariants, and
+the CyclicPhase form of a phase.
 
 The cycle oracle is the additive model computed by hand: every access pays
 the L1 probe, an L1 miss adds the L2 lookup charge, and a walk adds the
@@ -25,6 +26,7 @@ from napotsim.engine import (
     MEASUREMENT,
     WALK,
     WARMUP,
+    CyclicPhase,
     LatencyModel,
     PhaseStats,
     Simulation,
@@ -47,25 +49,6 @@ def sim_4k(length=1 << 20, **kwargs):
 
 def sim_64k(length=1 << 20, **kwargs):
     return Simulation([RegionSpec(BASE_VA, length, PageSize.PAGE_64K, BASE_PPN)], **kwargs)
-
-
-class CountingMem(dict):
-    """Simulated memory that counts the reads the walker makes: one frame
-    fetch per PTE read."""
-
-    reads = 0
-
-    def get(self, frame, default=None):
-        self.reads += 1
-        return super().get(frame, default)
-
-
-def expected_cycles(stats, latency=LatencyModel()):
-    return (
-        stats.accesses * latency.l1_hit_cycles
-        + stats.l1_misses * latency.l2_lookup_cycles
-        + stats.walk_memory_reads * latency.mem_read_cycles
-    )
 
 
 def test_cold_walk_costs_94_cycles():
@@ -275,23 +258,37 @@ def test_translate_respects_phase_attribute():
         sim.translate(BASE_VA)
 
 
-def test_stats_invariants_on_random_traces():
-    rng = random.Random(73)
-    for trial in range(10):
-        pages = rng.choice((16, 64, 256))
-        sim = sim_4k(length=pages << 12, ways=rng.choice((4, 16)))
-        sim.mem = CountingMem(sim.mem)
-        warmup = [BASE_VA + (p << 12) for p in range(pages)]
-        measurement = [
-            BASE_VA + (rng.randrange(pages) << 12) for _ in range(2000)
-        ]
-        stats = sim.run_trace(AccessTrace(warmup, measurement))
-        for phase in (stats.warmup, stats.measurement):
-            phase.check(sim.latency)
-            assert phase.total_cycles == expected_cycles(phase)
-        assert sim.mem.reads == (
-            stats.warmup.walk_memory_reads + stats.measurement.walk_memory_reads
-        )
+def test_cyclic_phase_reads_as_its_list():
+    period = range(BASE_VA, BASE_VA + 5 * KB4, KB4)
+    for length in (0, 1, 3, 5, 7, 10, 12):
+        phase = CyclicPhase(period, length)
+        want = [period[i % 5] for i in range(length)]
+        assert len(phase) == length
+        assert list(phase) == want
+        assert list(reversed(phase)) == want[::-1]
+        for index in range(-length, length):
+            assert phase[index] == want[index]
+        for index in (length, -length - 1, length + 5):
+            with pytest.raises(IndexError):
+                phase[index]
+        with pytest.raises(TypeError):
+            phase[1:]
+
+
+def test_cyclic_phase_ends():
+    phase = CyclicPhase(range(BASE_VA, BASE_VA + 3 * KB4, KB4), 1_000_000)
+    assert (phase[0], phase[-1]) == (BASE_VA, BASE_VA)  # 1_000_000 % 3 == 1
+    assert phase[-2] == BASE_VA + 2 * KB4
+    assert next(reversed(phase)) == BASE_VA
+
+
+def test_cyclic_phase_rejects_an_empty_period_and_a_negative_length():
+    assert list(CyclicPhase([], 0)) == []
+    assert list(reversed(CyclicPhase(range(0), 0))) == []
+    with pytest.raises(ValueError, match="non-empty period"):
+        CyclicPhase([], 1)
+    with pytest.raises(ValueError, match="length must be non-negative"):
+        CyclicPhase([BASE_VA], -1)
 
 
 def test_deterministic_across_runs():

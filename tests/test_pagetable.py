@@ -30,7 +30,7 @@ from napotsim.pagetable import (
     walk,
 )
 from napotsim.sv39 import PPN_MASK, PageSize, decode_pte, napot_translate
-from ptes import N, R, W, frames_of, leaf, napot_leaf, pointer, words_of
+from ptes import N, R, W, CountingMem, frames_of, leaf, napot_leaf, pointer, words_of
 
 GB = 1 << 30
 MB2 = 2 << 20
@@ -51,17 +51,6 @@ def expected_table_pages(regions):
 
 def expected_frame(region, va):
     return region.base_ppn + (va - region.base_va) // KB4
-
-
-class CountingMem(dict):
-    """Simulated memory that counts the reads the walker makes: one frame
-    fetch per PTE read."""
-
-    reads = 0
-
-    def get(self, frame, default=None):
-        self.reads += 1
-        return super().get(frame, default)
 
 
 def count_table_pages(mem, root):

@@ -4,36 +4,69 @@ reference_run models the same hierarchy with plain lists and the
 closed-form region mapping: frame = base_ppn + page index, for either page
 size. It shares no code with the engine, the TLBs or the walker, so a
 change to any of them that moves a PA, a path, a cycle or a counter shows
-up here. The cases cover what the default grid never produces: several
-regions mixing 4KB and 64KB pages in one Simulation (so both entry kinds
-share L2 sets), upper-half canonical VAs, and L1, L2 and walk-cache sizes
-down to one entry. The L1 and the walk cache are LRU; the L2 is LRU or
-random, and for random the reference replays the L2's randrange draws
-from its own random.Random(seed). Some trials empty the walk cache between
-the phases, as flush_ptw_between_phases asks run_trace to. A region in
-slot 0 maps from frame 0, which the TLBs must treat as a hit like any other
-frame; the test checks that each path meets frame 0 at both page sizes.
-Some measurement phases touch only pages the warm-up left in the L1, which
-the engine applies in bulk. The final order of the L1, of each L2 set and
-of the walk cache is checked too. The reference tags its TLB entries by the
-page number va >> 12, as the engine does, and keys its walk cache by the
-27-bit VPN, as walk does.
+up here. The reference tags its TLB entries by the page number va >> 12,
+as the engine does, and keys its walk cache by the 27-bit VPN, as walk
+does. The L1 and the walk cache are LRU; the L2 is LRU or random, and for
+random the reference replays the L2's randrange draws from its own
+random.Random(seed). About half the trials empty the walk cache between
+the phases, as flush_ptw_between_phases asks run_trace to.
 
-Some trials flip one bit in 38..63 of one access, which takes it out of the
-canonical range; among them, bit 40 of one access of an otherwise
+random_case draws two shapes of case, neither of which the default grid
+produces:
+
+- Mixed: two to four regions, at least one of each page size, in one
+  Simulation, so both entry kinds share L2 sets; upper-half canonical VAs;
+  L1, L2 and walk-cache sizes down to one entry. A region in slot 0 maps
+  from frame 0, which the TLBs must treat as a hit like any other frame.
+  Some measurement phases touch only pages the warm-up left in the L1,
+  which the engine applies in bulk.
+- Compact: one region of either page size at BASE_VA, up to 16 ways and
+  1024 L2 entries, odd L1 sizes, and a measurement phase that is a
+  CyclicPhase, the form gen_trace gives a linear phase. Its period is a
+  range of whole pages or a list in random order with repeats and offsets;
+  its length is 0, under one period, or between or at multiples of it. The
+  warm-up is the period, its pages shuffled among others and ending on its
+  first, a few pages ending on its first, or empty.
+
+Every trial translates its accesses one at a time with translate(), and
+runs them through run_trace with the measurement phase in each of its
+forms: a mixed case's list, or a compact case's three, which are a list,
+the CyclicPhase and a uint64 memoryview (the form gen_trace gives a random
+phase). The bulk L1 step scans the last period of a CyclicPhase and all
+of a memoryview. Each run must give the reference's
+PAs, paths and cycles (translate() only), both phases' counters, and the
+final order of the L1, of each L2 set and of the walk cache. Simulated
+memory counts its frame fetches, which must equal both phases'
+walk_memory_reads.
+
+Some mixed trials flip one bit in 38..63 of one access, which takes it out
+of the canonical range; among them, bit 40 of one access of an otherwise
 all-L1-hit measurement phase. Both translate() and run_trace must then
 raise CanonicalityError naming that VA, in the state the accesses before it
 left, with the counters of those accesses and no others.
+
+Floors on what the trials reach; each prints its count when it fails:
+all_hit >= 10 (a measurement phase of 2+ accesses, all L1 hits),
+random_evicted >= 20 (random replacement evicted from the L2),
+flushed >= 15 (a flush emptied a non-empty walk cache), non_canonical >= 20
+(a flipped access), resident_flip >= 10 (bit 40 inside an all-L1-hit
+phase), frame0 (each path meets frame 0 at both page sizes), bulk >= 30 (a
+compact phase past one period, all L1 hits: the bulk L1 step's scan of the
+last period) and partial_warmup >= 60 (a compact phase whose first page
+the warm-up left resident, but which misses too).
 """
 
 import random
 from dataclasses import asdict
 
-from napotsim.engine import L1_HIT, L2_HIT, WALK, LatencyModel, Simulation
+import numpy as np
+
+from napotsim.engine import L1_HIT, L2_HIT, WALK, CyclicPhase, LatencyModel, Simulation
 from napotsim.errors import CanonicalityError
 from napotsim.pagetable import RegionSpec
 from napotsim.sv39 import PageSize
 from napotsim.workloads import AccessTrace
+from ptes import CountingMem
 
 # 64KB-aligned bases at least 1MB apart, so regions of up to 128 pages
 # never overlap; they span several level-2 and level-1 tables in both
@@ -48,6 +81,12 @@ SLOTS = (
     0xFFFF_FFC0_4000_0000,
     0xFFFF_FFFF_FFF0_0000,
 )
+# the compact cases' one region
+BASE_VA = 0x4000_0000
+BASE_PPN = 0x10_0000
+REGION_PAGES = 128
+MIXED_TRIALS = 100
+COMPACT_TRIALS = 300
 COUNTERS = (
     "accesses", "l1_hits", "l1_misses", "l2_hits", "l2_misses",
     "walks", "walk_memory_reads", "total_cycles",
@@ -143,8 +182,65 @@ def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
     return outcomes, counters, (l1, l2_dump, ptw_keys)
 
 
-def random_case(rng):
-    """Two to four regions, at least one of each page size, and a trace."""
+def draw_geometry(rng, ways, l2_sets, l1_sizes, ptw_sizes):
+    """Structure sizes from the choices given, then the rest at random."""
+    return dict(
+        l1_entries=rng.choice(l1_sizes),
+        l2_entries=ways * rng.choice(l2_sets),
+        ways=ways,
+        ptw_entries=rng.choice(ptw_sizes),
+        replacement=rng.choice(("lru", "random")),
+        seed=rng.randrange(1 << 16),
+        latency=LatencyModel(
+            rng.randint(0, 3), rng.randint(0, 5), rng.randint(0, 40)
+        ),
+        flush_ptw=rng.random() < 0.5,
+    )
+
+
+def random_case(rng, compact=False):
+    """Regions, a warm-up and a measurement phase, and a geometry.
+
+    A mixed case maps two to four regions, at least one of each page size,
+    and draws both phases from their pages. A compact case maps one region
+    and measures a CyclicPhase.
+    """
+    if compact:
+        page_size = rng.choice(PageSize.ALL)
+        regions = [RegionSpec(BASE_VA, REGION_PAGES << 12, page_size, BASE_PPN)]
+        pages = [BASE_VA + (p << 12) for p in range(REGION_PAGES)]
+        ways = rng.choice((1, 2, 4, 16))
+        geometry = draw_geometry(
+            rng, ways, (1, 2, 8, 64), (1, 3, 5, 7, 32, 33), (1, 3, 8)
+        )
+        size = rng.randint(1, geometry["l1_entries"] + 2 if rng.random() < 0.5 else 80)
+        start = rng.randrange(REGION_PAGES - size + 1)
+        if rng.random() < 0.7:
+            # gen_trace's form: the period is a range of whole pages
+            period = range(pages[start], pages[start] + (size << 12), 4096)
+        else:
+            # any list: random order, repeated pages, offsets inside a page
+            period = [rng.choice(pages[start:start + size]) | rng.randrange(4096)
+                      for _ in range(size)]
+        shape = rng.choice(("period", "shuffled", "first-only", "empty"))
+        if shape == "period":
+            warmup = period
+        elif shape == "shuffled":
+            # the period's pages among others, in any order, ending on its first
+            warmup = list(period) + rng.sample(pages, rng.randint(0, 4))
+            rng.shuffle(warmup)
+            warmup.append(period[0])
+        elif shape == "first-only":
+            # the phase's first page is resident, some of its others are not
+            warmup = rng.sample(pages, rng.randint(0, 6)) + [period[0]]
+        else:
+            warmup = []
+        n = len(period)
+        length = rng.choice(
+            (0, rng.randrange(n), n, n * rng.randint(1, 4) + rng.randrange(n),
+             n * rng.randint(2, 5))
+        )
+        return regions, (warmup, CyclicPhase(period, length)), geometry
     slots = rng.sample(range(len(SLOTS)), rng.randint(2, 4))
     regions = []
     for n, slot in enumerate(slots):
@@ -166,18 +262,7 @@ def random_case(rng):
         ]
 
     ways = rng.choice((1, 2, 4))
-    geometry = dict(
-        l1_entries=rng.choice((1, 2, 3, 32)),
-        l2_entries=ways * rng.choice((1, 2, 4, 16)),
-        ways=ways,
-        ptw_entries=rng.choice((1, 2, 8)),
-        replacement=rng.choice(("lru", "random")),
-        seed=rng.randrange(1 << 16),
-        latency=LatencyModel(
-            rng.randint(0, 3), rng.randint(0, 5), rng.randint(0, 40)
-        ),
-        flush_ptw=rng.random() < 0.5,
-    )
+    geometry = draw_geometry(rng, ways, (1, 2, 4, 16), (1, 2, 3, 32), (1, 2, 8))
     warmup = draw(rng.randint(0, 300))
     if warmup and rng.random() < 0.3:
         # only pages the warm-up leaves in the L1, so every access hits
@@ -192,7 +277,8 @@ def random_case(rng):
 
 
 def make_sim(regions, geometry):
-    return Simulation(
+    """A Simulation of the geometry whose memory counts its frame fetches."""
+    sim = Simulation(
         regions,
         ways=geometry["ways"],
         l2_entries=geometry["l2_entries"],
@@ -203,6 +289,8 @@ def make_sim(regions, geometry):
         seed=geometry["seed"],
         flush_ptw_between_phases=geometry["flush_ptw"],
     )
+    sim.mem = CountingMem(sim.mem)
+    return sim
 
 
 def flip_one_access(rng, phases, resident):
@@ -234,13 +322,16 @@ def test_engine_matches_reference_translator():
     flushed = 0  # flushing trials whose warm-up left the walk cache non-empty
     non_canonical = 0  # trials with one access flipped out of the canonical range
     resident_flip = 0  # ... by bit 40, inside an all-L1-hit measurement phase
+    bulk = 0  # compact trials all L1 hits past one period: the cyclic bulk step
+    partial_warmup = 0  # ... whose resident first page precedes misses
     zero = dict.fromkeys(COUNTERS, 0)
-    for trial in range(100):
-        regions, phases, geometry = random_case(rng)
+    for trial in range(MIXED_TRIALS + COMPACT_TRIALS):
+        compact = trial >= MIXED_TRIALS
+        regions, phases, geometry = random_case(rng, compact)
         outcomes, counters, state = reference_run(regions, phases, **geometry)
         measured = counters[1]
         resident = measured["l1_hits"] == measured["accesses"] >= 2
-        flip = flip_one_access(rng, phases, resident)
+        flip = None if compact else flip_one_access(rng, phases, resident)
         if flip:
             phases, where, index, bit = flip
             non_canonical += 1
@@ -266,6 +357,11 @@ def test_engine_matches_reference_translator():
                         (path, region.page_size)
                         for pa, path, _ in outcomes if pa >> 12 == 0
                     )
+            if compact:
+                period = phases[1].period
+                bulk += measured["l1_hits"] == measured["accesses"] > len(period)
+                partial_warmup += (0 < measured["l1_hits"] < measured["accesses"]
+                                   and phases[0][-1:] == [period[0]])
             error = None
         stepped = make_sim(regions, geometry)
         got = []
@@ -285,29 +381,41 @@ def test_engine_matches_reference_translator():
         for i, (want, have) in enumerate(zip(outcomes, got)):
             assert have == want, f"trial {trial}, access {i}"
         assert len(got) == len(outcomes), f"trial {trial}"
-        looped = make_sim(regions, geometry)
-        try:
-            looped.run_trace(AccessTrace(*phases))
-            raised = None
-        except CanonicalityError as exc:
-            raised = str(exc)
-        assert raised == error, f"trial {trial}"
-        for n, name in enumerate(("warmup", "measurement")):
-            want = counters[n] if n < len(counters) else zero
-            assert asdict(stepped.stats.phase(name)) == want, f"trial {trial}"
-            assert looped.stats.phase(name) == stepped.stats.phase(name), (
-                f"trial {trial}, {name}"
-            )
+        runs = {"translate": stepped}
+        forms = {"list": phases[1]}
+        if compact:
+            addresses = list(phases[1])
+            forms = {
+                "list": addresses,
+                "CyclicPhase": phases[1],
+                "memoryview": np.array(addresses, dtype=np.uint64).data.toreadonly(),
+            }
+        for form, measurement in forms.items():
+            looped = runs[form] = make_sim(regions, geometry)
+            try:
+                looped.run_trace(AccessTrace(phases[0], measurement))
+                raised = None
+            except CanonicalityError as exc:
+                raised = str(exc)
+            assert raised == error, f"trial {trial}, {form}"
         l1, l2, ptw = state
-        for sim in (stepped, looped):
-            assert list(sim.l1.entries.items()) == l1, f"trial {trial}"
-            assert sim.l2.dump() == l2, f"trial {trial}"
-            assert list(sim.ptw_cache.entries) == ptw, f"trial {trial}"
-    assert all_hit >= 10
-    assert random_evicted >= 20
-    assert flushed >= 15
-    assert non_canonical >= 20
-    assert resident_flip >= 10
+        for form, sim in runs.items():
+            where = f"trial {trial}, {form}"
+            for n, name in enumerate(("warmup", "measurement")):
+                want = counters[n] if n < len(counters) else zero
+                assert asdict(sim.stats.phase(name)) == want, f"{where}, {name}"
+            reads = sum(count["walk_memory_reads"] for count in counters)
+            assert sim.mem.reads == reads, where
+            assert list(sim.l1.entries.items()) == l1, where
+            assert sim.l2.dump() == l2, where
+            assert list(sim.ptw_cache.entries) == ptw, where
+    assert all_hit >= 10, all_hit
+    assert random_evicted >= 20, random_evicted
+    assert flushed >= 15, flushed
+    assert non_canonical >= 20, non_canonical
+    assert resident_flip >= 10, resident_flip
     assert frame0 == {
         (path, size) for path in (L1_HIT, L2_HIT, WALK) for size in PageSize.ALL
-    }
+    }, frame0
+    assert bulk >= 30, bulk
+    assert partial_warmup >= 60, partial_warmup

@@ -36,6 +36,7 @@ from napotsim.errors import CanonicalityError, InvariantError, UnmappedAccessErr
 from napotsim.pagetable import RegionSpec
 from napotsim.sv39 import PageSize
 from napotsim.workloads import AccessTrace
+from ptes import CountingMem
 
 BASE_VA = 0x4000_0000
 BASE_PPN = 0x10_0000
@@ -49,6 +50,14 @@ def sim_4k(length=1 << 20, **kwargs):
 
 def sim_64k(length=1 << 20, **kwargs):
     return Simulation([RegionSpec(BASE_VA, length, PageSize.PAGE_64K, BASE_PPN)], **kwargs)
+
+
+def expected_cycles(stats, latency=LatencyModel()):
+    return (
+        stats.accesses * latency.l1_hit_cycles
+        + stats.l1_misses * latency.l2_lookup_cycles
+        + stats.walk_memory_reads * latency.mem_read_cycles
+    )
 
 
 def test_cold_walk_costs_94_cycles():
@@ -256,6 +265,25 @@ def test_translate_respects_phase_attribute():
     sim.phase = "bogus"
     with pytest.raises(ValueError, match="unknown phase 'bogus'"):
         sim.translate(BASE_VA)
+
+
+def test_stats_invariants_on_random_traces():
+    rng = random.Random(73)
+    for trial in range(10):
+        pages = rng.choice((16, 64, 256))
+        sim = sim_4k(length=pages << 12, ways=rng.choice((4, 16)))
+        sim.mem = CountingMem(sim.mem)
+        warmup = [BASE_VA + (p << 12) for p in range(pages)]
+        measurement = [
+            BASE_VA + (rng.randrange(pages) << 12) for _ in range(2000)
+        ]
+        stats = sim.run_trace(AccessTrace(warmup, measurement))
+        for phase in (stats.warmup, stats.measurement):
+            phase.check(sim.latency)
+            assert phase.total_cycles == expected_cycles(phase)
+        assert sim.mem.reads == (
+            stats.warmup.walk_memory_reads + stats.measurement.walk_memory_reads
+        )
 
 
 def test_cyclic_phase_reads_as_its_list():

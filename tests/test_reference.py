@@ -12,7 +12,8 @@ random.Random(seed). About half the trials empty the walk cache between
 the phases, as flush_ptw_between_phases asks run_trace to.
 
 random_case draws two shapes of case, neither of which the default grid
-produces:
+produces; check_trials runs one shape's cases against reference_run. This
+module's test runs 100 mixed cases, and test_phases runs 300 compact ones:
 
 - Mixed: two to four regions, at least one of each page size, in one
   Simulation, so both entry kinds share L2 sets; upper-half canonical VAs;
@@ -45,18 +46,20 @@ all-L1-hit measurement phase. Both translate() and run_trace must then
 raise CanonicalityError naming that VA, in the state the accesses before it
 left, with the counters of those accesses and no others.
 
-Floors on what the trials reach; each prints its count when it fails:
-all_hit >= 10 (a measurement phase of 2+ accesses, all L1 hits),
+Floors on what the trials reach; each prints its count when it fails.
+Here, over the mixed cases: all_hit >= 10 (a measurement phase of 2+ accesses, all L1 hits),
 random_evicted >= 20 (random replacement evicted from the L2),
 flushed >= 15 (a flush emptied a non-empty walk cache), non_canonical >= 20
 (a flipped access), resident_flip >= 10 (bit 40 inside an all-L1-hit
-phase), frame0 (each path meets frame 0 at both page sizes), bulk >= 30 (a
-compact phase past one period, all L1 hits: the bulk L1 step's scan of the
-last period) and partial_warmup >= 60 (a compact phase whose first page
-the warm-up left resident, but which misses too).
+phase) and frame0 (each path meets frame 0 at both page sizes). In
+test_phases, over the compact cases: bulk >= 30 (a phase past one period,
+all L1 hits: the bulk L1 step's scan of the last period) and
+partial_warmup >= 60 (a phase whose first page the warm-up left resident,
+but which misses too).
 """
 
 import random
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -86,7 +89,6 @@ BASE_VA = 0x4000_0000
 BASE_PPN = 0x10_0000
 REGION_PAGES = 128
 MIXED_TRIALS = 100
-COMPACT_TRIALS = 300
 COUNTERS = (
     "accesses", "l1_hits", "l1_misses", "l2_hits", "l2_misses",
     "walks", "walk_memory_reads", "total_cycles",
@@ -314,19 +316,17 @@ def flip_one_access(rng, phases, resident):
     return flipped, where, index, bit
 
 
-def test_engine_matches_reference_translator():
-    rng = random.Random(2406)
-    frame0 = set()  # (path, page size) of accesses that reached frame 0
-    all_hit = 0  # trials whose measurement phase is 2+ accesses, all L1 hits
-    random_evicted = 0  # random-policy trials that evicted from the L2
-    flushed = 0  # flushing trials whose warm-up left the walk cache non-empty
-    non_canonical = 0  # trials with one access flipped out of the canonical range
-    resident_flip = 0  # ... by bit 40, inside an all-L1-hit measurement phase
-    bulk = 0  # compact trials all L1 hits past one period: the cyclic bulk step
-    partial_warmup = 0  # ... whose resident first page precedes misses
+def check_trials(seed, trials, compact):
+    """Check trials random cases of one shape against reference_run.
+
+    Returns a Counter of the trials each floor counts, by the floor's name,
+    and the (path, page size) of the accesses that reached frame 0.
+    """
+    rng = random.Random(seed)
+    seen = Counter()
+    frame0 = set()
     zero = dict.fromkeys(COUNTERS, 0)
-    for trial in range(MIXED_TRIALS + COMPACT_TRIALS):
-        compact = trial >= MIXED_TRIALS
+    for trial in range(trials):
         regions, phases, geometry = random_case(rng, compact)
         outcomes, counters, state = reference_run(regions, phases, **geometry)
         measured = counters[1]
@@ -334,21 +334,22 @@ def test_engine_matches_reference_translator():
         flip = None if compact else flip_one_access(rng, phases, resident)
         if flip:
             phases, where, index, bit = flip
-            non_canonical += 1
-            resident_flip += resident and where == 1 and bit == 40
+            seen["non_canonical"] += 1
+            seen["resident_flip"] += resident and where == 1 and bit == 40
             # the engine stops at the flipped access, in the state and with
             # the counters the ones before it leave
             before = (*phases[:where], phases[where][:index])
             outcomes, counters, state = reference_run(regions, before, **geometry)
             error = f"va {phases[where][index]:#x} is not a canonical sv39 address"
         else:
-            all_hit += resident
+            seen["all_hit"] += resident
             # every walk inserts a new L2 entry, and only an eviction drops one
             inserted = sum(count["walks"] for count in counters)
-            random_evicted += (geometry["replacement"] == "random"
-                               and inserted > sum(map(len, state[1].values())))
+            seen["random_evicted"] += (
+                geometry["replacement"] == "random"
+                and inserted > sum(map(len, state[1].values())))
             if geometry["flush_ptw"]:
-                flushed += bool(
+                seen["flushed"] += bool(
                     reference_run(regions, phases[:1], **geometry)[2][2]
                 )
             for region in regions:
@@ -359,9 +360,11 @@ def test_engine_matches_reference_translator():
                     )
             if compact:
                 period = phases[1].period
-                bulk += measured["l1_hits"] == measured["accesses"] > len(period)
-                partial_warmup += (0 < measured["l1_hits"] < measured["accesses"]
-                                   and phases[0][-1:] == [period[0]])
+                seen["bulk"] += (
+                    measured["l1_hits"] == measured["accesses"] > len(period))
+                seen["partial_warmup"] += (
+                    0 < measured["l1_hits"] < measured["accesses"]
+                    and phases[0][-1:] == [period[0]])
             error = None
         stepped = make_sim(regions, geometry)
         got = []
@@ -409,13 +412,16 @@ def test_engine_matches_reference_translator():
             assert list(sim.l1.entries.items()) == l1, where
             assert sim.l2.dump() == l2, where
             assert list(sim.ptw_cache.entries) == ptw, where
-    assert all_hit >= 10, all_hit
-    assert random_evicted >= 20, random_evicted
-    assert flushed >= 15, flushed
-    assert non_canonical >= 20, non_canonical
-    assert resident_flip >= 10, resident_flip
+    return seen, frame0
+
+
+def test_engine_matches_reference_translator():
+    seen, frame0 = check_trials(2406, MIXED_TRIALS, compact=False)
+    assert seen["all_hit"] >= 10, seen["all_hit"]
+    assert seen["random_evicted"] >= 20, seen["random_evicted"]
+    assert seen["flushed"] >= 15, seen["flushed"]
+    assert seen["non_canonical"] >= 20, seen["non_canonical"]
+    assert seen["resident_flip"] >= 10, seen["resident_flip"]
     assert frame0 == {
         (path, size) for path in (L1_HIT, L2_HIT, WALK) for size in PageSize.ALL
     }, frame0
-    assert bulk >= 30, bulk
-    assert partial_warmup >= 60, partial_warmup

@@ -9,6 +9,7 @@ from .engine import (
     CyclicPhase,
     LatencyModel,
     PhaseStats,
+    RandomPhase,
     Simulation,
     SimStats,
     TranslationOutcome,

@@ -58,6 +58,39 @@ class CyclicPhase(Sequence):
 
 
 @dataclass(frozen=True)
+class RandomPhase(Sequence):
+    """A read-only phase of draws, each an address on a page of period.
+
+    period holds the addresses the draws are taken from, such as
+    gen_trace's warm-up range. The bulk L1 step tests its pages in place of
+    the draws', so a draw off them would be miscounted; nothing checks
+    that, since it would read every draw. draws holds the addresses, for
+    example a read-only uint64 memoryview. Length, items, iteration and
+    reversed() all pass straight to it, so a loop over the phase runs in
+    the draws' own C iterator.
+    """
+
+    period: Sequence
+    draws: Sequence
+
+    def __post_init__(self):
+        if len(self.draws) and not self.period:
+            raise ValueError("a non-empty random phase needs a non-empty period")
+
+    def __len__(self):
+        return len(self.draws)
+
+    def __getitem__(self, index):
+        return self.draws[index]
+
+    def __iter__(self):
+        return iter(self.draws)
+
+    def __reversed__(self):
+        return reversed(self.draws)
+
+
+@dataclass(frozen=True)
 class LatencyModel:
     l1_hit_cycles: int = 1
     l2_lookup_cycles: int = 3
@@ -194,20 +227,43 @@ class Simulation:
         l1_entries = self.l1.entries
         total = len(addresses)
         l1_hits = l2_hits = walks = walk_reads = 0
-        # An LRU hit reorders the L1 but never evicts, so a phase that touches
-        # only pages resident when it starts is n hits, and it leaves the
-        # touched pages in last-touch order after the untouched ones. The
-        # first access is tested alone so that most phases that miss skip
-        # the scan. A cyclic phase's last period holds each of its addresses
-        # in last-touch order, so only that is scanned.
+        # An LRU hit reorders the L1 but never evicts. So if every page of a
+        # phase's support (a CyclicPhase's or RandomPhase's period, any other
+        # phase itself) is in the L1 when the phase starts, the phase is n
+        # hits, and it leaves the pages it touched in last-touch order after
+        # the untouched ones. The first access is tested alone, so that most
+        # phases that miss skip the rest. The support is deduplicated in C,
+        # latest first, then tested page by page up to the first miss; when
+        # it is the phase itself, that order is the last-touch order. Else
+        # the scan back from the phase's end stops at its start or once it
+        # has seen every support page: for n support pages, within one
+        # period of a cyclic phase, and after about n*ln(n) draws of a
+        # uniform random one. It reads doubling blocks from n on, each
+        # deduplicated in C.
         if total and addresses[0] >> PAGE_SHIFT in l1_entries:
-            latest_first = reversed(addresses)
-            if isinstance(addresses, CyclicPhase):
-                latest_first = islice(latest_first, len(addresses.period))
-            by_last_touch = dict.fromkeys(latest_first)
-            pages = dict.fromkeys(va >> PAGE_SHIFT for va in by_last_touch)
-            if l1_entries.keys() >= pages.keys():
-                for page in reversed(pages):
+            support = addresses
+            if isinstance(addresses, (CyclicPhase, RandomPhase)):
+                support = addresses.period
+            pages = {}
+            for va in dict.fromkeys(reversed(support)):
+                page = va >> PAGE_SHIFT
+                if page not in l1_entries:
+                    break
+                pages[page] = None
+            else:
+                by_last_touch = pages
+                if support is not addresses:
+                    latest_first = reversed(addresses)
+                    by_last_touch = {}
+                    block = len(pages)
+                    while len(by_last_touch) < len(pages):
+                        vas = dict.fromkeys(islice(latest_first, block))
+                        if not vas:
+                            break
+                        for va in vas:
+                            by_last_touch.setdefault(va >> PAGE_SHIFT)
+                        block *= 2
+                for page in reversed(by_last_touch):
                     l1_entries.move_to_end(page)
                 l1_hits = total
         try:

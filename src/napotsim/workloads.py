@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PHASES, CyclicPhase
+from .engine import PHASES, CyclicPhase, RandomPhase
 from .pagetable import RegionSpec
 from .sv39 import PAGE_BYTES, PAGE_SHIFT, PageSize, is_canonical
 
@@ -55,7 +55,7 @@ class AccessTrace:
 
     Any sequence the engine can take a length, an item and reversed() of
     will do: read_trace gives lists, gen_trace a range for the warm-up and a
-    CyclicPhase or a memoryview of a uint64 array for the measured phase.
+    CyclicPhase or a RandomPhase for the measured phase.
     """
 
     warmup: Sequence[int]
@@ -69,9 +69,10 @@ def gen_trace(spec, base_va):
 
     The warm-up is a range. A linear measured phase is a CyclicPhase over
     that range, which holds no address of its own. A random one is a
-    read-only memoryview of the Philox draw itself, eight bytes per access,
-    and its items are ints. A chunk must lie in [0, 2**64), so no address
-    wraps in the unsigned draw; base_va is checked for that.
+    RandomPhase over that range whose draws are a read-only memoryview of
+    the Philox draw itself, eight bytes per access, and its items are ints.
+    A chunk must lie in [0, 2**64), so no address wraps in the unsigned
+    draw; base_va is checked for that.
     """
     if base_va < 0 or base_va + spec.chunk_bytes > 1 << 64:
         raise ValueError(
@@ -86,7 +87,7 @@ def gen_trace(spec, base_va):
                        dtype=np.uint64)
     vas <<= np.uint64(PAGE_SHIFT)
     vas += np.uint64(base_va)
-    return AccessTrace(warmup, vas.data.toreadonly())
+    return AccessTrace(warmup, RandomPhase(warmup, vas.data.toreadonly()))
 
 
 def make_regions(spec, base_va, base_ppn):

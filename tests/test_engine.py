@@ -1,5 +1,5 @@
 """Translation pipeline accounting: paths, cycles, phases, invariants, and
-the CyclicPhase form of a phase.
+the CyclicPhase and RandomPhase forms of a phase.
 
 The cycle oracle is the additive model computed by hand: every access pays
 the L1 probe, an L1 miss adds the L2 lookup charge, and a walk adds the
@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 from collections import OrderedDict
+from collections.abc import Sequence
 from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +30,7 @@ from napotsim.engine import (
     CyclicPhase,
     LatencyModel,
     PhaseStats,
+    RandomPhase,
     Simulation,
     SimStats,
 )
@@ -208,6 +210,71 @@ def test_resident_phase_with_a_non_canonical_va_raises():
     assert sim.stats.warmup == before.warmup
     assert sim.stats.measurement == PhaseStats(accesses=1, l1_hits=1, total_cycles=1)
     assert list(sim.l1.entries) == [vpn(b), vpn(a)]
+
+
+class CountingDraws(Sequence):
+    """A RandomPhase's draws that count the items read from them."""
+
+    def __init__(self, items):
+        self.items = items
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, index):
+        item = self.items[index]
+        self.reads += 1
+        return item
+
+
+def test_resident_random_phase_reads_only_its_last_draws():
+    # 50,000 draws over 32 pages the warm-up left in the 32-entry L1: past
+    # the first-access gate, the bulk step reads back from the end, in
+    # blocks of 32, 64, 128 and so on, only until it has seen all 32 pages
+    # (about 130 draws on average)
+    rng = random.Random(21)
+    period = range(BASE_VA, BASE_VA + 32 * KB4, KB4)
+    items = [rng.choice(period) for _ in range(50_000)]
+    sim = sim_4k()
+    sim.run_trace(AccessTrace(period, []))
+    sim.l1.entries = ProbeCountingDict(sim.l1.entries)
+    draws = CountingDraws(items)
+    stats = sim.run_trace(AccessTrace([], RandomPhase(period, draws)))
+    assert draws.reads <= 1000, draws.reads
+    assert sim.l1.entries.probes == 0
+    assert stats.measurement == PhaseStats(
+        accesses=50_000, l1_hits=50_000, total_cycles=50_000)
+    by_last_touch = dict.fromkeys(vpn(va) for va in reversed(items))
+    assert list(sim.l1.entries) == list(by_last_touch)[::-1]
+
+
+def test_random_phase_whose_period_misses_runs_the_per_access_loop():
+    # the first draw's page is resident, but page 4 of the period is not:
+    # the bulk step stops there without reading a draw, and the loop reads
+    # each draw once and probes the L1 for each, though all of them hit
+    a, b, c, d = (BASE_VA + p * KB4 for p in range(4))
+    sim = warm_l1(4)
+    draws = CountingDraws([a, c, b, a, d])
+    period = range(BASE_VA, BASE_VA + 8 * KB4, KB4)
+    stats = sim.run_trace(AccessTrace([], RandomPhase(period, draws)))
+    assert draws.reads == 1 + 5  # the first-access gate, then the loop
+    assert sim.l1.entries.probes == 5
+    assert stats.measurement == PhaseStats(accesses=5, l1_hits=5, total_cycles=5)
+    assert list(sim.l1.entries) == [vpn(c), vpn(b), vpn(a), vpn(d)]
+
+
+def test_random_phase_reads_as_its_draws():
+    period = range(BASE_VA, BASE_VA + 4 * KB4, KB4)
+    draws = [BASE_VA + 2 * KB4, BASE_VA, BASE_VA + 3 * KB4]
+    phase = RandomPhase(period, draws)
+    assert len(phase) == 3
+    assert list(phase) == draws
+    assert list(reversed(phase)) == draws[::-1]
+    assert (phase[0], phase[-1]) == (draws[0], draws[-1])
+    assert list(RandomPhase(range(0), [])) == []
+    with pytest.raises(ValueError, match="non-empty period"):
+        RandomPhase(range(0), draws)
 
 
 def test_empty_trace_runs():

@@ -27,14 +27,21 @@ module's test runs 100 mixed cases, and test_phases runs 300 compact ones:
   range of whole pages or a list in random order with repeats and offsets;
   its length is 0, under one period, or between or at multiples of it. The
   warm-up is the period, its pages shuffled among others and ending on its
-  first, a few pages ending on its first, or empty.
+  first, a few pages ending on its first, or empty. Most cases warmed by
+  their period have the bulk L1 step's shape: a period the L1 holds and a
+  length past one period.
 
 Every trial translates its accesses one at a time with translate(), and
 runs them through run_trace with the measurement phase in each of its
-forms: a mixed case's list, or a compact case's three, which are a list,
-the CyclicPhase and a uint64 memoryview (the form gen_trace gives a random
-phase). The bulk L1 step scans the last period of a CyclicPhase and all
-of a memoryview. Each run must give the reference's
+forms: a mixed case's list, or a compact case's five, which are a list,
+the CyclicPhase, a uint64 memoryview, a RandomPhase of that memoryview
+over the period (the form gen_trace gives a random phase) and one over the
+whole region. The bulk L1 step tests the pages of its support, which is a
+compact phase's period and any other phase itself; for a compact phase
+it then scans back from the phase's end until it has seen each of them:
+within the last period of a CyclicPhase, and a few periods' worth of a
+RandomPhase's draws. No L1 holds the whole region, so that last form runs
+the per-access loop. Each run must give the reference's
 PAs, paths and cycles (translate() only), both phases' counters, and the
 final order of the L1, of each L2 set and of the walk cache. Simulated
 memory counts its frame fetches, which must equal both phases'
@@ -53,9 +60,10 @@ flushed >= 15 (a flush emptied a non-empty walk cache), non_canonical >= 20
 (a flipped access), resident_flip >= 10 (bit 40 inside an all-L1-hit
 phase) and frame0 (each path meets frame 0 at both page sizes). In
 test_phases, over the compact cases: bulk >= 30 (a phase past one period,
-all L1 hits: the bulk L1 step's scan of the last period) and
-partial_warmup >= 60 (a phase whose first page the warm-up left resident,
-but which misses too).
+all L1 hits: the bulk L1 step's scan of the last period), random_bulk
+>= 45 (a non-empty phase whose period the warm-up left in the L1, so that
+its RandomPhase takes the bulk step) and partial_warmup >= 60 (a phase
+whose first page the warm-up left resident, but which misses too).
 """
 
 import random
@@ -64,7 +72,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from napotsim.engine import L1_HIT, L2_HIT, WALK, CyclicPhase, LatencyModel, Simulation
+from napotsim.engine import (
+    L1_HIT, L2_HIT, WALK, CyclicPhase, LatencyModel, RandomPhase, Simulation,
+)
 from napotsim.errors import CanonicalityError
 from napotsim.pagetable import RegionSpec
 from napotsim.sv39 import PageSize
@@ -88,6 +98,7 @@ SLOTS = (
 BASE_VA = 0x4000_0000
 BASE_PPN = 0x10_0000
 REGION_PAGES = 128
+REGION = range(BASE_VA, BASE_VA + (REGION_PAGES << 12), 1 << 12)
 MIXED_TRIALS = 100
 COUNTERS = (
     "accesses", "l1_hits", "l1_misses", "l2_hits", "l2_misses",
@@ -205,17 +216,26 @@ def random_case(rng, compact=False):
 
     A mixed case maps two to four regions, at least one of each page size,
     and draws both phases from their pages. A compact case maps one region
-    and measures a CyclicPhase.
+    and measures a CyclicPhase; most of those its period warms have the
+    bulk L1 step's shape.
     """
     if compact:
         page_size = rng.choice(PageSize.ALL)
         regions = [RegionSpec(BASE_VA, REGION_PAGES << 12, page_size, BASE_PPN)]
-        pages = [BASE_VA + (p << 12) for p in range(REGION_PAGES)]
+        pages = list(REGION)
         ways = rng.choice((1, 2, 4, 16))
         geometry = draw_geometry(
             rng, ways, (1, 2, 8, 64), (1, 3, 5, 7, 32, 33), (1, 3, 8)
         )
-        size = rng.randint(1, geometry["l1_entries"] + 2 if rng.random() < 0.5 else 80)
+        shape = rng.choice(("period", "shuffled", "first-only", "empty"))
+        # mostly the bulk L1 step's shape: a period the L1 holds, warmed by
+        # itself and measured past one period
+        bulk = shape == "period" and rng.random() < 0.7
+        if bulk:
+            size = rng.randint(1, geometry["l1_entries"])
+        else:
+            size = rng.randint(
+                1, geometry["l1_entries"] + 2 if rng.random() < 0.5 else 80)
         start = rng.randrange(REGION_PAGES - size + 1)
         if rng.random() < 0.7:
             # gen_trace's form: the period is a range of whole pages
@@ -224,7 +244,6 @@ def random_case(rng, compact=False):
             # any list: random order, repeated pages, offsets inside a page
             period = [rng.choice(pages[start:start + size]) | rng.randrange(4096)
                       for _ in range(size)]
-        shape = rng.choice(("period", "shuffled", "first-only", "empty"))
         if shape == "period":
             warmup = period
         elif shape == "shuffled":
@@ -238,10 +257,13 @@ def random_case(rng, compact=False):
         else:
             warmup = []
         n = len(period)
-        length = rng.choice(
-            (0, rng.randrange(n), n, n * rng.randint(1, 4) + rng.randrange(n),
-             n * rng.randint(2, 5))
-        )
+        if bulk:
+            length = n + rng.randint(1, 4 * n)
+        else:
+            length = rng.choice(
+                (0, rng.randrange(n), n, n * rng.randint(1, 4) + rng.randrange(n),
+                 n * rng.randint(2, 5))
+            )
         return regions, (warmup, CyclicPhase(period, length)), geometry
     slots = rng.sample(range(len(SLOTS)), rng.randint(2, 4))
     regions = []
@@ -362,6 +384,11 @@ def check_trials(seed, trials, compact):
                 period = phases[1].period
                 seen["bulk"] += (
                     measured["l1_hits"] == measured["accesses"] > len(period))
+                # a RandomPhase over the period takes the bulk step when the
+                # warm-up leaves every page of the period in the L1
+                l1 = reference_run(regions, phases[:1], **geometry)[2][0]
+                seen["random_bulk"] += bool(measured["accesses"]) and (
+                    {va >> 12 for va in period} <= {page for page, _ in l1})
                 seen["partial_warmup"] += (
                     0 < measured["l1_hits"] < measured["accesses"]
                     and phases[0][-1:] == [period[0]])
@@ -388,10 +415,14 @@ def check_trials(seed, trials, compact):
         forms = {"list": phases[1]}
         if compact:
             addresses = list(phases[1])
+            draws = np.array(addresses, dtype=np.uint64).data.toreadonly()
             forms = {
                 "list": addresses,
                 "CyclicPhase": phases[1],
-                "memoryview": np.array(addresses, dtype=np.uint64).data.toreadonly(),
+                "memoryview": draws,
+                "RandomPhase": RandomPhase(phases[1].period, draws),
+                # never resident, since the region outgrows every L1 drawn
+                "RandomPhase over the region": RandomPhase(REGION, draws),
             }
         for form, measurement in forms.items():
             looped = runs[form] = make_sim(regions, geometry)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from napotsim.engine import CyclicPhase
+from napotsim.engine import CyclicPhase, RandomPhase
 from napotsim.errors import AlignmentError
 from napotsim.sv39 import PageSize
 from napotsim.workloads import (
@@ -158,16 +158,21 @@ def traced_bytes(build):
 
 
 def test_trace_bytes_per_access():
-    # a linear phase is its period and a count, a random one the draw's
-    # memoryview, eight bytes per access; the warm-up is a range either way
+    # a linear phase is its period and a count, a random one the warm-up
+    # range and the draw's read-only memoryview, eight bytes per access; the
+    # warm-up is a range either way
     accesses = 200_000
     for pattern, kind, per_access in (
         ("linear", CyclicPhase, 0.01),
-        ("random", memoryview, 8.6),
+        ("random", RandomPhase, 8.6),
     ):
         spec = WorkloadSpec(16 << 20, pattern, seed=2, measured_accesses=accesses)
         trace, held, _ = traced_bytes(lambda: gen_trace(spec, BASE))
         assert isinstance(trace.measurement, kind)
+        assert trace.measurement.period is trace.warmup
+        if kind is RandomPhase:
+            draws = trace.measurement.draws
+            assert isinstance(draws, memoryview) and draws.readonly
         assert type(trace.measurement[0]) is int
         with pytest.raises(TypeError):
             trace.measurement[0] = BASE

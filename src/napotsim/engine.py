@@ -233,13 +233,12 @@ class Simulation:
         # hits, and it leaves the pages it touched in last-touch order after
         # the untouched ones. The first access is tested alone, so that most
         # phases that miss skip the rest. The support is deduplicated in C,
-        # latest first, then tested page by page up to the first miss; when
-        # it is the phase itself, that order is the last-touch order. Else
-        # the scan back from the phase's end stops at its start or once it
-        # has seen every support page: for n support pages, within one
-        # period of a cyclic phase, and after about n*ln(n) draws of a
-        # uniform random one. It reads doubling blocks from n on, each
-        # deduplicated in C.
+        # latest first, then tested page by page up to the first miss. The
+        # last-touch order then comes from one scan back from the phase's
+        # end, which stops at its start or once it has seen every support
+        # page: for n support pages, within one period of a cyclic phase,
+        # and after about n*ln(n) draws of a uniform random one. It reads
+        # doubling blocks from n on, each deduplicated in C.
         if total and addresses[0] >> PAGE_SHIFT in l1_entries:
             support = addresses
             if isinstance(addresses, (CyclicPhase, RandomPhase)):
@@ -251,18 +250,16 @@ class Simulation:
                     break
                 pages[page] = None
             else:
-                by_last_touch = pages
-                if support is not addresses:
-                    latest_first = reversed(addresses)
-                    by_last_touch = {}
-                    block = len(pages)
-                    while len(by_last_touch) < len(pages):
-                        vas = dict.fromkeys(islice(latest_first, block))
-                        if not vas:
-                            break
-                        for va in vas:
-                            by_last_touch.setdefault(va >> PAGE_SHIFT)
-                        block *= 2
+                latest_first = reversed(addresses)
+                by_last_touch = {}
+                block = len(pages)
+                while len(by_last_touch) < len(pages):
+                    vas = dict.fromkeys(islice(latest_first, block))
+                    if not vas:
+                        break
+                    for va in vas:
+                        by_last_touch.setdefault(va >> PAGE_SHIFT)
+                    block *= 2
                 for page in reversed(by_last_touch):
                     l1_entries.move_to_end(page)
                 l1_hits = total

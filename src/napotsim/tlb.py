@@ -7,6 +7,8 @@ both page sizes. Each entry carries an N bit: an N=1 entry matches on VPN
 bits 26:4 alone and yields its PPN with the low nibble replaced by the VA's
 NAPOT offset, so one entry covers the whole 64KB group.
 
+A set is made on its first touch, in a dict keyed by set index, so an L2
+costs memory only for the sets its traffic reaches.
 Inside a set, entries live in an OrderedDict from oldest to newest, each
 mapping a key to the entry's PPN. Keys put the two entry kinds in disjoint
 namespaces: vpn << 1 for a 4KB entry, (vpn >> 4) << 1 | 1 for a NAPOT entry.
@@ -15,7 +17,7 @@ index is the VPN's, and the tag of an upper-half entry keeps VA bits 63:12.
 """
 
 import random
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 
 from .sv39 import (
     NAPOT_OFFSET_MASK,
@@ -50,7 +52,7 @@ class L2Tlb:
         self.set_mask = sets - 1
         self.replacement = replacement
         self._rng = random.Random(seed)
-        self._sets = [OrderedDict() for _ in range(sets)]
+        self._sets = defaultdict(OrderedDict)
 
     def lookup(self, vpn):
         """Return the final 4KB ppn on hit, None on miss (frame 0 is a hit).
@@ -104,27 +106,24 @@ class L2Tlb:
 
     def flush(self, va):
         """Invalidate the whole set va indexes, regardless of page size."""
-        self._sets[(va >> (PAGE_SHIFT + NAPOT_SHIFT)) & self.set_mask].clear()
+        self._sets.pop((va >> (PAGE_SHIFT + NAPOT_SHIFT)) & self.set_mask, None)
 
     def clear(self):
-        for entries in self._sets:
-            entries.clear()
+        self._sets.clear()
 
     def __len__(self):
-        return sum(len(entries) for entries in self._sets)
+        return sum(len(entries) for entries in self._sets.values())
 
     def dump(self):
         """Occupied sets as {index: [(tag, ppn, napot), ...]}, LRU first.
 
         The tag is the inserted vpn of a 4KB entry, vpn >> 4 of a NAPOT one.
         """
-        out = {}
-        for index, entries in enumerate(self._sets):
-            if entries:
-                out[index] = [
-                    (key >> 1, ppn, bool(key & 1)) for key, ppn in entries.items()
-                ]
-        return out
+        return {
+            index: [(key >> 1, ppn, bool(key & 1)) for key, ppn in entries.items()]
+            for index, entries in sorted(self._sets.items())
+            if entries
+        }
 
 
 class LruCache:

@@ -183,6 +183,19 @@ def test_resident_phase_is_all_hits_in_last_touch_order():
     assert sim.l1.entries.probes == 0
 
 
+def test_resident_list_phase_scans_back_to_a_page_touched_only_at_its_start():
+    # L1 = a b c d; the phase a (c b)*500 is its own support: the bulk step
+    # scans it back from the end in doubling blocks until it reaches a at
+    # the start, then leaves d, untouched, ahead of a, c and b
+    a, b, c, d = (BASE_VA + p * KB4 for p in range(4))
+    sim = warm_l1(4)
+    stats = sim.run_trace(AccessTrace([], [a] + [c, b] * 500))
+    assert stats.measurement == PhaseStats(
+        accesses=1001, l1_hits=1001, total_cycles=1001)
+    assert list(sim.l1.entries) == [vpn(d), vpn(a), vpn(c), vpn(b)]
+    assert sim.l1.entries.probes == 0
+
+
 def test_phase_that_opens_with_a_hit_and_later_walks():
     # L1 = a b c d; the phase a e a: e misses L1 and L2 and walks through
     # the warm walk cache (1 read), evicting b, the least recent

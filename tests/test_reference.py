@@ -37,15 +37,16 @@ forms: a mixed case's list, or a compact case's five, which are a list,
 the CyclicPhase, a uint64 memoryview, a RandomPhase of that memoryview
 over the period (the form gen_trace gives a random phase) and one over the
 whole region. The bulk L1 step tests the pages of its support, which is a
-compact phase's period and any other phase itself; for a compact phase
-it then scans back from the phase's end until it has seen each of them:
-within the last period of a CyclicPhase, and a few periods' worth of a
-RandomPhase's draws. No L1 holds the whole region, so that last form runs
-the per-access loop. Each run must give the reference's
-PAs, paths and cycles (translate() only), both phases' counters, and the
-final order of the L1, of each L2 set and of the walk cache. Simulated
-memory counts its frame fetches, which must equal both phases'
-walk_memory_reads.
+compact phase's period and any other phase itself; for every phase it
+then scans back from the phase's end until it has seen each of them or
+reached the start: within the last period of a CyclicPhase, a few
+periods' worth of a RandomPhase's draws, and up to the last touch of the
+list's or memoryview's earliest-touched page. No L1 holds the whole
+region, so that last form runs the per-access loop. Each run must give the
+reference's PAs, paths and cycles (translate() only), both phases'
+counters, and the final order of the L1, of each L2 set and of the walk
+cache. Simulated memory counts its frame fetches, which must equal both
+phases' walk_memory_reads.
 
 Some mixed trials flip one bit in 38..63 of one access, which takes it out
 of the canonical range; among them, bit 40 of one access of an otherwise

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -475,3 +476,27 @@ def test_results_identical_across_trace_sharing():
         if r.config_id == 2 and r.pattern == "random" and r.chunk_bytes == chunk
     ]
     assert matching == solo
+
+
+def test_validate_builds_no_l2_sets():
+    # the largest probe L2 of a 64K-entry L2 has 65,536 sets, about 9 MB if
+    # each set were built up front
+    config = ExperimentConfig(l2_entries=0x10000)
+    ExperimentConfig().validate()  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        config.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+
+
+def test_a_large_l2_gives_the_default_rows_on_chunks_up_to_1m():
+    # a 1MB chunk spans 16 64KB groups, and the default L2's 64 or 256 sets
+    # give each its own set, as a 1M-entry L2 does, so each set sees the
+    # same traffic under either size
+    config = ExperimentConfig(chunk_max_bytes=1 << 20, measured_accesses=1000)
+    rows = run_sweep(replace(config, l2_entries=0x100000))
+    assert len(rows) == 2 * 54  # both phases of 54 cells
+    assert rows == run_sweep(config)

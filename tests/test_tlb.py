@@ -7,6 +7,7 @@ the explicit 16-entry frame table an entry stands for.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -71,7 +72,17 @@ def test_l2_geometry_validation():
 def test_l2_miss_on_empty():
     tlb = L2Tlb()
     assert tlb.lookup(0x1234) is None
+    assert [tlb.lookup(vpn) for vpn in range(0, 4096, 5)] == [None] * 820
+    tlb.flush(0x5678 << 12)
     assert len(tlb) == 0
+    assert tlb.dump() == {}
+    tlb = L2Tlb()
+    tlb.insert(0x20, leaf(0x100))  # set 2
+    assert tlb.lookup(0x30) is None  # set 3
+    tlb.insert(0x10, leaf(0x200))  # set 1, touched last but listed first
+    dump = tlb.dump()
+    assert dump == {1: [(0x10, 0x200, False)], 2: [(0x20, 0x100, False)]}
+    assert list(dump) == [1, 2]
 
 
 def test_l2_4k_entry_exact_match():
@@ -177,12 +188,32 @@ def test_l2_flush_uses_va_not_vpn():
 
 
 def test_l2_flush_all():
+    # four groups per set, one per way, fill all 256 sets of a 4-way L2
+    vpns = [(way * 256 + index) * 16 for way in range(4) for index in range(256)]
     tlb = L2Tlb(1024, 4)
-    for k in range(64):
-        tlb.insert(k * 16, leaf(0x100 + k))
+    for k, vpn in enumerate(vpns):
+        tlb.insert(vpn, leaf(0x100 + k))
+    full = tlb.dump()
+    assert len(tlb) == 1024 and len(full) == 256
     tlb.clear()
     assert len(tlb) == 0
+    assert tlb.dump() == {}
+    assert all(tlb.lookup(vpn) is None for vpn in vpns)
     tlb.clear()  # idempotent
+    for k, vpn in enumerate(vpns):
+        tlb.insert(vpn, leaf(0x100 + k))
+    assert tlb.dump() == full
+
+
+def test_l2_allocates_no_set_before_its_first_touch():
+    # 65,536 sets, about 9 MB if each were built up front
+    tracemalloc.start()
+    try:
+        L2Tlb(1 << 20, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_l2_sixteen_way_reach_with_4k_pages():

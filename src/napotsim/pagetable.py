@@ -6,22 +6,23 @@ dict reads as all zeros. table_frames decides which frame holds each table
 of the three-level radix tree for a list of mapped regions, and
 build_page_tables writes the tree's raw PTE words there. 4KB regions get
 one level-0 leaf per page; 64KB regions get 16 identical NAPOT leaves per
-group, since every slot of a group must carry the marked entry. walk
-traverses the tree through a small LRU cache of non-leaf PTEs and reports
-how many memory reads it cost.
+group, since every slot of a group must carry the marked entry. Each 2MB
+slot's leaves are computed as one numpy run and written into its table in
+one step. walk traverses the tree through a small LRU cache of non-leaf
+PTEs and reports how many memory reads it cost.
 """
 
 from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import AlignmentError, RegionOverlapError, SuperpageError
 from .sv39 import (
     LEVEL_BITS,
     LEVEL_MASK,
     NAPOT_OFFSET_MASK,
-    NAPOT_PAGES,
     NAPOT_PPN_PATTERN,
-    NAPOT_SHIFT,
     PAGE_BYTES,
     PAGE_SHIFT,
     PPN_MASK,
@@ -152,8 +153,10 @@ def build_page_tables(regions):
 
     memory maps the root and each frame table_frames(regions) gives a table
     to that table's 512 words, zeroed before the pointers go in. Each 2MB
-    slot's leaves are then written with one slice assignment, in page
-    order. Leaves are R+W.
+    slot's leaf words are then computed in numpy from its frame numbers and
+    written with one slice assignment, in page order; one slot at a time,
+    so the build holds no more than one slot's words besides the tables.
+    Leaves are R+W.
     """
     regions = validate_regions(regions)
     root, tables = table_frames(regions)
@@ -166,6 +169,7 @@ def build_page_tables(regions):
         mem[parent][prefix & LEVEL_MASK] = (frame << PTE_PPN_SHIFT) | PTE_V
     for region in regions:
         base_vpn = (region.base_va >> PAGE_SHIFT) & VPN_MASK
+        base_ppn = region.base_ppn
         napot = region.page_size == PageSize.PAGE_64K
         leaf_flags = PTE_V | PTE_R | PTE_W | (PTE_N if napot else 0)
         i = 0
@@ -173,22 +177,19 @@ def build_page_tables(regions):
             vpn = base_vpn + i
             # pages i..end-1 share vpn's 2MB slot and so its level-0 table
             end = min(region.num_pages, i + LEVEL_MASK + 1 - (vpn & LEVEL_MASK))
-            # a leaf word grows by 1 << PTE_PPN_SHIFT per frame: the flags
-            # sit below the PPN field
-            ppn = region.base_ppn + i
+            words = np.arange(base_ppn + i, base_ppn + end, dtype=np.uint64)
             if napot:
                 # a slot holds whole groups (64KB divides 2MB), and all 16
-                # slots of a group carry the same marked leaf
-                step = NAPOT_PAGES << PTE_PPN_SHIFT
-                word = ((ppn | NAPOT_PPN_PATTERN) << PTE_PPN_SHIFT) | leaf_flags
-                groups = range(word, word + ((end - i) >> NAPOT_SHIFT) * step, step)
-                words = array("Q", [w for w in groups for _ in range(NAPOT_PAGES)])
-            else:
-                step = 1 << PTE_PPN_SHIFT
-                word = (ppn << PTE_PPN_SHIFT) | leaf_flags
-                words = array("Q", range(word, word + (end - i) * step, step))
+                # slots of a group carry the same marked leaf; the mask is
+                # taken inside the PPN range, since numpy refuses -16
+                # (~NAPOT_OFFSET_MASK alone) as a uint64 operand
+                words &= PPN_MASK & ~NAPOT_OFFSET_MASK
+                words |= NAPOT_PPN_PATTERN
+            words <<= PTE_PPN_SHIFT
+            words |= leaf_flags
             first = vpn & LEVEL_MASK
-            mem[tables[((vpn >> LEVEL_BITS) << 2) | 1]][first:first + end - i] = words
+            table = mem[tables[((vpn >> LEVEL_BITS) << 2) | 1]]
+            table[first:first + end - i] = array("Q", words.tobytes())
             i = end
     return mem, root
 

@@ -52,13 +52,9 @@ class PageSize:
     ALL = (PAGE_4K, PAGE_64K)
 
 
-def is_canonical(va):
-    high = va >> 38
-    return high == 0 or high == CANONICAL_HIGH
-
-
 def check_canonical(va):
-    if not is_canonical(va):
+    high = va >> 38
+    if high != 0 and high != CANONICAL_HIGH:
         raise CanonicalityError(f"va {va:#x} is not a canonical sv39 address")
 
 

@@ -7,8 +7,8 @@ both page sizes. Each entry carries an N bit: an N=1 entry matches on VPN
 bits 26:4 alone and yields its PPN with the low nibble replaced by the VA's
 NAPOT offset, so one entry covers the whole 64KB group.
 
-A set is made on its first touch, in a dict keyed by set index, so an L2
-costs memory only for the sets its traffic reaches.
+A set is made by its first insert, in a dict keyed by set index, so an L2
+costs memory only for the sets its entries reach; a lookup makes no set.
 Inside a set, entries live in an OrderedDict from oldest to newest, each
 mapping a key to the entry's PPN. Keys put the two entry kinds in disjoint
 namespaces: vpn << 1 for a 4KB entry, (vpn >> 4) << 1 | 1 for a NAPOT entry.
@@ -17,7 +17,7 @@ index is the VPN's, and the tag of an upper-half entry keeps VA bits 63:12.
 """
 
 import random
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 
 from .sv39 import (
     NAPOT_OFFSET_MASK,
@@ -34,6 +34,8 @@ from .sv39 import (
 L1_ENTRIES = 32
 L2_ENTRIES = 1024
 REPLACEMENT_POLICIES = ("lru", "random")
+# what L2Tlb.lookup reads from a set no insert has made; never written
+NO_ENTRIES = OrderedDict()
 
 
 class L2Tlb:
@@ -52,7 +54,7 @@ class L2Tlb:
         self.set_mask = sets - 1
         self.replacement = replacement
         self._rng = random.Random(seed)
-        self._sets = defaultdict(OrderedDict)
+        self._sets = {}
 
     def lookup(self, vpn):
         """Return the final 4KB ppn on hit, None on miss (frame 0 is a hit).
@@ -60,9 +62,10 @@ class L2Tlb:
         Tries an exact 4KB entry first, then the NAPOT entry for the VPN's
         group. insert() guarantees a NAPOT entry's PPN carries the 0b1000
         nibble, so replacing that nibble with the NAPOT offset is exactly
-        the 64KB translation rule.
+        the 64KB translation rule. A set no insert has made reads as empty,
+        and the lookup leaves it unmade.
         """
-        entries = self._sets[(vpn >> NAPOT_SHIFT) & self.set_mask]
+        entries = self._sets.get((vpn >> NAPOT_SHIFT) & self.set_mask, NO_ENTRIES)
         key = vpn << 1
         ppn = entries.get(key)
         if ppn is not None:
@@ -92,7 +95,10 @@ class L2Tlb:
         else:
             key = vpn << 1
             ppn = entry_ppn
-        entries = self._sets[(vpn >> NAPOT_SHIFT) & self.set_mask]
+        index = (vpn >> NAPOT_SHIFT) & self.set_mask
+        entries = self._sets.get(index)
+        if entries is None:
+            entries = self._sets[index] = OrderedDict()
         if key in entries:
             entries.move_to_end(key)
         elif len(entries) >= self.ways:
@@ -122,7 +128,6 @@ class L2Tlb:
         return {
             index: [(key >> 1, ppn, bool(key & 1)) for key, ppn in entries.items()]
             for index, entries in sorted(self._sets.items())
-            if entries
         }
 
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import PHASES, CyclicPhase, RandomPhase
+from .errors import CanonicalityError
 from .pagetable import RegionSpec
-from .sv39 import PAGE_BYTES, PAGE_SHIFT, PageSize, is_canonical
+from .sv39 import PAGE_BYTES, PAGE_SHIFT, PageSize, check_canonical
 
 PATTERNS = ("linear", "random")
 CHUNK_MIN_BYTES = 4 << 10
@@ -148,9 +149,11 @@ def read_trace(path):
                 raise ValueError(
                     f"line {number}: {line!r} is not a hex address"
                 ) from None
-            if not is_canonical(va):
+            try:
+                check_canonical(va)
+            except CanonicalityError:
                 raise ValueError(
                     f"line {number}: {line!r} is not a canonical sv39 address"
-                )
+                ) from None
             phases[current].append(va)
     return AccessTrace(**phases)

@@ -255,6 +255,14 @@ BUILDS = [
         RegionSpec(5 << 30, KB4, PageSize.PAGE_4K, 0x1000),
         RegionSpec(5 << 21, KB4, PageSize.PAGE_4K, 0x2000),
     ],
+    # frames up to PPN_MASK - 16, so leaf words carry PPN bit 43 at bit 53
+    [
+        RegionSpec(0x4000_0000, KB64, PageSize.PAGE_4K, PPN_MASK - 47),
+        RegionSpec(0x4001_0000, KB64, PageSize.PAGE_64K, PPN_MASK - 31),
+    ],
+    # the top of the upper half, from two groups below a 2MB boundary: the
+    # N bit is bit 63 of every leaf
+    [RegionSpec(2**64 - MB2 - 2 * KB64, MB2 + 2 * KB64, PageSize.PAGE_64K, 0x20000)],
 ] + [
     [RegionSpec(GB + MB2 - 3 * KB64, MB2 + 6 * KB64, page, 0x10000)]
     for page in PageSize.ALL
@@ -265,7 +273,8 @@ BUILDS = [
 def test_build_puts_each_table_where_table_frames_says(regions):
     # one pointer word names each table frame, in the slot its key gives
     # under its parent: the root for a 1GB slot's table, that table for a
-    # 2MB slot's one
+    # 2MB slot's one; each page's leaf sits in its 2MB slot's table, and
+    # memory holds no other nonzero word
     root, tables = table_frames(regions)
     mem, built_root = build_page_tables(regions)
     assert built_root == root
@@ -274,10 +283,22 @@ def test_build_puts_each_table_where_table_frames_says(regions):
     mem = words_of(mem)
     pointers = [word for word in mem.values() if word & 0b1111 == 1]
     assert sorted(word >> 10 for word in pointers) == sorted(tables.values())
+    expected = {}
     for key, frame in tables.items():
         prefix, level = key // 4, key % 4
         parent = root if level == 2 else tables[prefix // 512 * 4 + 2]
         assert mem[parent * 4096 + prefix % 512 * 8] == pointer(frame)
+        expected[parent * 4096 + prefix % 512 * 8] = pointer(frame)
+    for region in regions:
+        for page in range(region.length // KB4):
+            vpn = (region.base_va + page * KB4) // KB4 % (1 << 27)
+            table = tables[vpn // 512 * 4 + 1]
+            if region.page_size == PageSize.PAGE_64K:
+                word = napot_leaf(region.base_ppn + page - page % 16)
+            else:
+                word = leaf(region.base_ppn + page)
+            expected[table * 4096 + vpn % 512 * 8] = word
+    assert mem == expected
 
 
 def test_build_rejects_overlap():
@@ -409,16 +430,20 @@ def test_walk_on_hand_written_tree(words, outcome):
 
 
 def test_256mb_4k_build_holds_under_1mb():
-    # 65536 leaves in 128 level-0 frames, plus the root and one level-1 table
-    region = RegionSpec(0x4000_0000, 256 << 20, PageSize.PAGE_4K, 0x10000)
-    tracemalloc.start()
-    try:
-        mem, _ = build_page_tables([region])
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(mem) == 130
-    assert held < 1 << 20
+    # 65536 leaves in 128 level-0 frames, plus the root and one level-1 table;
+    # the same with 64KB pages, and at no point of either build does the
+    # builder hold 1MB (the tables alone take 0.52MB)
+    for page_size in PageSize.ALL:
+        region = RegionSpec(0x4000_0000, 256 << 20, page_size, 0x10000)
+        tracemalloc.start()
+        try:
+            mem, _ = build_page_tables([region])
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(mem) == 130
+        assert held < 1 << 20
+        assert peak < 1 << 20, (page_size, peak)
 
 
 def test_walk_rejects_non_canonical():

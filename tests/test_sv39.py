@@ -15,7 +15,6 @@ from napotsim.sv39 import (
     PageTableEntry,
     check_canonical,
     decode_pte,
-    is_canonical,
     napot_translate,
 )
 from ptes import N, leaf, napot_leaf, pointer
@@ -37,10 +36,14 @@ def test_check_canonical_rejects_non_canonical(va):
 
 
 def test_is_canonical_boundaries():
-    assert is_canonical(0x3F_FFFF_FFFF)
-    assert not is_canonical(0x40_0000_0000)
-    assert not is_canonical(0xFFFF_FFBF_FFFF_FFFF)
-    assert is_canonical(0xFFFF_FFC0_0000_0000)
+    # the last low-half and first upper-half addresses pass; the hole's
+    # first and last addresses do not
+    check_canonical(0x3F_FFFF_FFFF)
+    with pytest.raises(CanonicalityError):
+        check_canonical(0x40_0000_0000)
+    with pytest.raises(CanonicalityError):
+        check_canonical(0xFFFF_FFBF_FFFF_FFFF)
+    check_canonical(0xFFFF_FFC0_0000_0000)
     # check_canonical accepts both halves up to the top of the 64-bit range
     for va in (0, 0x3F_FFFF_FFFF, 0xFFFF_FFC0_0000_0000, (1 << 64) - 1):
         check_canonical(va)

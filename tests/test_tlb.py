@@ -216,6 +216,19 @@ def test_l2_allocates_no_set_before_its_first_touch():
     assert peak < 1 << 20, peak
 
 
+def test_l2_lookup_misses_make_no_set():
+    # one miss in each of 65,536 sets; a set made per miss holds about 12 MB
+    tlb = L2Tlb(1 << 20, 16)
+    tracemalloc.start()
+    try:
+        assert all(tlb.lookup(vpn) is None for vpn in range(0, 1 << 20, 16))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64 << 10, held
+    assert len(tlb) == 0 and tlb.dump() == {}
+
+
 def test_l2_sixteen_way_reach_with_4k_pages():
     # 1024 consecutive pages fill a 16-way L2 exactly: 64 groups over
     # 64 sets leaves 16 pages per set, one per way

@@ -280,14 +280,10 @@ def test_build_puts_each_table_where_table_frames_says(regions):
     assert built_root == root
     assert mem.keys() == {root, *tables.values()}
     assert all(len(words) == 512 for words in mem.values())
-    mem = words_of(mem)
-    pointers = [word for word in mem.values() if word & 0b1111 == 1]
-    assert sorted(word >> 10 for word in pointers) == sorted(tables.values())
     expected = {}
     for key, frame in tables.items():
         prefix, level = key // 4, key % 4
         parent = root if level == 2 else tables[prefix // 512 * 4 + 2]
-        assert mem[parent * 4096 + prefix % 512 * 8] == pointer(frame)
         expected[parent * 4096 + prefix % 512 * 8] = pointer(frame)
     for region in regions:
         for page in range(region.length // KB4):
@@ -298,7 +294,7 @@ def test_build_puts_each_table_where_table_frames_says(regions):
             else:
                 word = leaf(region.base_ppn + page)
             expected[table * 4096 + vpn % 512 * 8] = word
-    assert mem == expected
+    assert words_of(mem) == expected
 
 
 def test_build_rejects_overlap():

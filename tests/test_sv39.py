@@ -36,15 +36,13 @@ def test_check_canonical_rejects_non_canonical(va):
 
 
 def test_is_canonical_boundaries():
-    # the last low-half and first upper-half addresses pass; the hole's
-    # first and last addresses do not
-    check_canonical(0x3F_FFFF_FFFF)
+    # the hole's first and last addresses fail; the last low-half and the
+    # first upper-half ones pass, as do both halves up to the top of the
+    # 64-bit range
     with pytest.raises(CanonicalityError):
         check_canonical(0x40_0000_0000)
     with pytest.raises(CanonicalityError):
         check_canonical(0xFFFF_FFBF_FFFF_FFFF)
-    check_canonical(0xFFFF_FFC0_0000_0000)
-    # check_canonical accepts both halves up to the top of the 64-bit range
     for va in (0, 0x3F_FFFF_FFFF, 0xFFFF_FFC0_0000_0000, (1 << 64) - 1):
         check_canonical(va)
 

@@ -7,7 +7,7 @@ import time
 from dataclasses import replace
 
 from .engine import MEASUREMENT
-from .errors import ConfigError
+from .errors import ConfigError, labelled
 from .sweep import (
     DEFAULT_BASE_VA,
     ExperimentConfig,
@@ -106,27 +106,15 @@ def _cmd_run(args):
     return 0
 
 
-def _flag_value(flag, parse, text):
-    """Parse one flag's text, naming the flag if the value is bad."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-
-
 def _cmd_gen_trace(args):
-    spec = _flag_value(
-        "--chunk-bytes",
-        lambda text: WorkloadSpec(parse_size(text), args.pattern),
-        args.chunk_bytes,
-    )
-    base_va = _flag_value("--base-va", parse_int, args.base_va)
-    spec = _flag_value("--seed", lambda seed: replace(spec, seed=seed), args.seed)
-    spec = _flag_value(
-        "--accesses",
-        lambda count: replace(spec, measured_accesses=count),
-        args.accesses,
-    )
+    with labelled("--chunk-bytes:"):
+        spec = WorkloadSpec(parse_size(args.chunk_bytes), args.pattern)
+    with labelled("--base-va:"):
+        base_va = parse_int(args.base_va)
+    with labelled("--seed:"):
+        spec = replace(spec, seed=args.seed)
+    with labelled("--accesses:"):
+        spec = replace(spec, measured_accesses=args.accesses)
     # the chunk must fit in a region run would map: canonical and aligned
     make_regions(spec, base_va, 0)
     _check_out_path(args.out)

@@ -1,5 +1,7 @@
 """Exception types shared across the simulator."""
 
+from contextlib import contextmanager
+
 
 class CanonicalityError(ValueError):
     """Virtual address is not a sign-extended sv39 address."""
@@ -30,4 +32,18 @@ class InvariantError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Experiment configuration failed validation."""
+    """A config value or a command-line flag was rejected; the message names it."""
+
+
+@contextmanager
+def labelled(label):
+    """Re-raise a ValueError from the block as a ConfigError that starts with
+    label, the key, row or flag the block reads.
+
+    A ConfigError is a ValueError too, so blocks must not nest: the outer
+    label would be added a second time.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{label} {exc}") from None

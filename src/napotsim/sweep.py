@@ -19,7 +19,7 @@ from typing import NewType
 import numpy as np
 
 from .engine import MEASUREMENT, PHASES, WARMUP, LatencyModel, PhaseStats, Simulation
-from .errors import ConfigError
+from .errors import ConfigError, labelled
 from .pagetable import PTW_CACHE_ENTRIES, PtwCache, table_frames
 from .sv39 import PageSize, check_canonical
 from .tlb import L1_ENTRIES, L2_ENTRIES, L1Dtlb, L2Tlb
@@ -90,9 +90,9 @@ class ExperimentConfig:
         """Check the config by building what the sweep builds; returns self.
 
         Only the rules no component owns live here. Every other rule is
-        checked by the constructor that enforces it; its ValueError becomes
-        a ConfigError naming the key, or the config id when the rule
-        involves a row, which is checked on the largest chunk.
+        checked by the constructor that enforces it, in a `labelled` block
+        that names the key, or the config id when the rule involves a row,
+        which is checked on the largest chunk.
         """
         if not self.configs:
             raise ConfigError("no configurations to sweep")
@@ -112,23 +112,19 @@ class ExperimentConfig:
             ("l1_entries", L1Dtlb, (self.l1_entries,)),
             ("ptw_cache_entries", PtwCache, (self.ptw_cache_entries,)),
         ):
-            try:
+            with labelled(f"{key}:"):
                 build(*args)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
         seen = set()
         for cfg in self.configs:
             if cfg.config_id in seen:
                 raise ConfigError(f"duplicate config id {cfg.config_id}")
             seen.add(cfg.config_id)
-            # the paper's two arrangements; L2Tlb itself takes any ways
-            if cfg.ways not in (4, 16):
-                raise ConfigError(
-                    f"config {cfg.config_id}: ways must be 4 or 16, got {cfg.ways}"
-                )
-            if not cfg.patterns:
-                raise ConfigError(f"config {cfg.config_id}: no patterns")
-            try:
+            with labelled(f"config {cfg.config_id}:"):
+                # the paper's two arrangements; L2Tlb itself takes any ways
+                if cfg.ways not in (4, 16):
+                    raise ValueError(f"ways must be 4 or 16, got {cfg.ways}")
+                if not cfg.patterns:
+                    raise ValueError("no patterns")
                 L2Tlb(self.l2_entries, cfg.ways, self.replacement)
                 for pattern in cfg.patterns:
                     if cfg.patterns.count(pattern) > 1:
@@ -136,8 +132,6 @@ class ExperimentConfig:
                     spec = WorkloadSpec(self.chunk_max_bytes, pattern, cfg.page_size)
                 # the largest chunk's region and tables cover every smaller one's
                 table_frames(make_regions(spec, self.base_va, self.base_ppn))
-            except ValueError as exc:
-                raise ConfigError(f"config {cfg.config_id}: {exc}") from None
         return self
 
     def chunk_sizes(self):
@@ -325,36 +319,33 @@ def _read_fields(label, values, cls, **given):
         raise ConfigError(f"{label} unknown keys {sorted(unknown)}")
     for key, f in parsed.items():
         if key in values:
-            try:
+            with labelled(f"{label} {key}:"):
                 given[f.name] = _PARSERS[f.type](values[key])
-            except ValueError as exc:
-                raise ConfigError(f"{label} {key}: {exc}") from None
         elif f.default is MISSING:
             raise ConfigError(f"{label} missing field {key!r}")
-    try:
+    with labelled(label):
         return cls(**given)
-    except ValueError as exc:
-        raise ConfigError(f"{label} {exc}") from None
 
 
 def _read_row(key, text):
     """A [configs] row: its key is the config id, its fields are name=value."""
     label = f"[configs] {key}:"
     values = {"config_id": key}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigError(
-                f"{label} cannot parse {part!r}: fields are name=value, "
-                "and patterns are joined with '+'"
-            )
-        name, _, value = part.partition("=")
-        name = name.strip()
-        if name in values:
-            raise ConfigError(f"{label} field {name!r} given twice")
-        values[name] = value.strip()
+    with labelled(label):
+        for part in text.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            if "=" not in part:
+                raise ValueError(
+                    f"cannot parse {part!r}: fields are name=value, "
+                    "and patterns are joined with '+'"
+                )
+            name, _, value = part.partition("=")
+            name = name.strip()
+            if name in values:
+                raise ValueError(f"field {name!r} given twice")
+            values[name] = value.strip()
     return _read_fields(label, values, TlbConfig)
 
 

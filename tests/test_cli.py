@@ -254,9 +254,10 @@ def test_gen_trace_custom_base(tmp_path):
          "va 0x4000000fff is not a canonical"),
         (["--chunk-bytes", "8K", "--base-va", "0x1001"], "not aligned to 4096"),
         (["--chunk-bytes", "4K", "--out", "missing/t.txt"], "no directory missing"),
-        (["--chunk-bytes", "4K", "--seed", "-5"], "seed must be non-negative"),
+        (["--chunk-bytes", "4K", "--seed", "-5"],
+         "--seed: seed must be non-negative"),
         (["--chunk-bytes", "4K", "--seed", "-5", "--pattern", "random"],
-         "seed must be non-negative"),
+         "--seed: seed must be non-negative"),
         (["--chunk-bytes", "4K", "--accesses", "-5"],
          "error: --accesses: measured_accesses must be non-negative"),
         (["--chunk-bytes", "4K", "--base-va", "zz"], "--base-va: invalid literal"),

@@ -7,6 +7,7 @@ from .engine import (
     WALK,
     WARMUP,
     CyclicPhase,
+    Hierarchy,
     LatencyModel,
     PhaseStats,
     RandomPhase,

@@ -11,7 +11,7 @@ fill them: a non-canonical access misses both, and walk raises on it.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import cycle, islice
 
 from .errors import InvariantError, UnmappedAccessError
@@ -157,27 +157,30 @@ class TranslationOutcome:
     cycles_charged: int
 
 
-class Simulation:
-    """One TLB hierarchy plus walker over one fixed set of mapped regions."""
+@dataclass(frozen=True)
+class Hierarchy:
+    """The settings of one TLB hierarchy and its walker."""
 
-    def __init__(
-        self,
-        regions,
-        ways=4,
-        l2_entries=L2_ENTRIES,
-        replacement="lru",
-        seed=0,
-        l1_entries=L1_ENTRIES,
-        ptw_cache_entries=PTW_CACHE_ENTRIES,
-        latency=None,
-        flush_ptw_between_phases=False,
-    ):
+    ways: int = 4
+    l2_entries: int = L2_ENTRIES
+    replacement: str = "lru"
+    seed: int = 0
+    l1_entries: int = L1_ENTRIES
+    ptw_cache_entries: int = PTW_CACHE_ENTRIES
+    latency: LatencyModel = LatencyModel()
+    flush_ptw_between_phases: bool = False
+
+
+class Simulation:
+    """One TLB hierarchy plus walker over one fixed set of mapped regions;
+    keyword changes override fields of the hierarchy."""
+
+    def __init__(self, regions, hierarchy=Hierarchy(), **changes):
+        self.hierarchy = h = replace(hierarchy, **changes)
         self.mem, self.root_ppn = build_page_tables(regions)
-        self.l1 = L1Dtlb(l1_entries)
-        self.l2 = L2Tlb(l2_entries, ways, replacement, seed)
-        self.ptw_cache = PtwCache(ptw_cache_entries)
-        self.latency = latency if latency is not None else LatencyModel()
-        self.flush_ptw_between_phases = flush_ptw_between_phases
+        self.l1 = L1Dtlb(h.l1_entries)
+        self.l2 = L2Tlb(h.l2_entries, h.ways, h.replacement, h.seed)
+        self.ptw_cache = PtwCache(h.ptw_cache_entries)
         self.stats = SimStats()
         self.phase = MEASUREMENT
 
@@ -216,11 +219,11 @@ class Simulation:
         """
         self.phase = WARMUP
         self._run_phase(trace.warmup, self.stats.warmup)
-        if self.flush_ptw_between_phases:
+        if self.hierarchy.flush_ptw_between_phases:
             self.ptw_cache.clear()
         self.phase = MEASUREMENT
         self._run_phase(trace.measurement, self.stats.measurement)
-        self.stats.check(self.latency)
+        self.stats.check(self.hierarchy.latency)
         return self.stats
 
     def _run_phase(self, addresses, stats):
@@ -295,7 +298,7 @@ class Simulation:
         finally:
             done = l1_hits + l2_hits + walks
             l1_misses = done - l1_hits
-            latency = self.latency
+            latency = self.hierarchy.latency
             stats.accesses += done
             stats.l1_hits += l1_hits
             stats.l1_misses += l1_misses

@@ -13,16 +13,24 @@ import itertools
 import json
 import math
 from collections import namedtuple
-from dataclasses import MISSING, astuple, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 from typing import NewType
 
 import numpy as np
 
-from .engine import MEASUREMENT, PHASES, WARMUP, LatencyModel, PhaseStats, Simulation
+from .engine import (
+    MEASUREMENT,
+    PHASES,
+    WARMUP,
+    Hierarchy,
+    LatencyModel,
+    PhaseStats,
+    Simulation,
+)
 from .errors import ConfigError, labelled
-from .pagetable import PTW_CACHE_ENTRIES, PtwCache, table_frames
+from .pagetable import PtwCache, table_frames
 from .sv39 import PageSize, check_canonical
-from .tlb import L1_ENTRIES, L2_ENTRIES, L1Dtlb, L2Tlb
+from .tlb import L1Dtlb, L2Tlb
 from .workloads import (
     CHUNK_MAX_BYTES,
     CHUNK_MIN_BYTES,
@@ -74,13 +82,13 @@ class ExperimentConfig:
     chunk_min_bytes: Size = CHUNK_MIN_BYTES
     chunk_max_bytes: Size = CHUNK_MAX_BYTES
     measured_accesses: int = DEFAULT_MEASURED_ACCESSES
-    seed: int = 0
-    replacement: str = "lru"
-    latency: LatencyModel = field(default_factory=LatencyModel)
-    l1_entries: int = L1_ENTRIES
-    l2_entries: int = L2_ENTRIES
-    ptw_cache_entries: int = PTW_CACHE_ENTRIES
-    flush_ptw_between_phases: bool = False
+    seed: int = Hierarchy.seed
+    replacement: str = Hierarchy.replacement
+    latency: LatencyModel = Hierarchy.latency
+    l1_entries: int = Hierarchy.l1_entries
+    l2_entries: int = Hierarchy.l2_entries
+    ptw_cache_entries: int = Hierarchy.ptw_cache_entries
+    flush_ptw_between_phases: bool = Hierarchy.flush_ptw_between_phases
     base_va: int = DEFAULT_BASE_VA
     base_ppn: int = DEFAULT_BASE_PPN
     include_warmup: bool = False
@@ -91,8 +99,9 @@ class ExperimentConfig:
 
         Only the rules no component owns live here. Every other rule is
         checked by the constructor that enforces it, in a `labelled` block
-        that names the key, or the config id when the rule involves a row,
-        which is checked on the largest chunk.
+        that names the key, the config id when the rule involves a row
+        (checked on the largest chunk), or both for l2_entries, which must
+        suit each row's ways.
         """
         if not self.configs:
             raise ConfigError("no configurations to sweep")
@@ -106,8 +115,6 @@ class ExperimentConfig:
              (CHUNK_MIN_BYTES, PATTERNS[0], PageSize.PAGE_4K, 0,
               self.measured_accesses)),
             ("replacement", L2Tlb, (1, 1, self.replacement)),
-            # positive and a power of two, as any 4- or 16-way L2 needs
-            ("l2_entries", L2Tlb, (self.l2_entries, 1)),
             ("base_va", check_canonical, (self.base_va,)),
             ("l1_entries", L1Dtlb, (self.l1_entries,)),
             ("ptw_cache_entries", PtwCache, (self.ptw_cache_entries,)),
@@ -125,14 +132,24 @@ class ExperimentConfig:
                     raise ValueError(f"ways must be 4 or 16, got {cfg.ways}")
                 if not cfg.patterns:
                     raise ValueError("no patterns")
-                L2Tlb(self.l2_entries, cfg.ways, self.replacement)
                 for pattern in cfg.patterns:
                     if cfg.patterns.count(pattern) > 1:
                         raise ValueError(f"pattern {pattern!r} listed twice")
                     spec = WorkloadSpec(self.chunk_max_bytes, pattern, cfg.page_size)
                 # the largest chunk's region and tables cover every smaller one's
                 table_frames(make_regions(spec, self.base_va, self.base_ppn))
+            h = self.hierarchy(cfg)
+            with labelled(f"l2_entries with config {cfg.config_id}'s {h.ways} ways:"):
+                L2Tlb(h.l2_entries, h.ways)
         return self
+
+    def hierarchy(self, tlb):
+        """The Hierarchy of [configs] row tlb, each field read from the row
+        if it has it and from the sweep otherwise."""
+        return Hierarchy(**{
+            f.name: getattr(tlb if hasattr(tlb, f.name) else self, f.name)
+            for f in fields(Hierarchy)
+        })
 
     def chunk_sizes(self):
         sizes = []
@@ -167,18 +184,7 @@ def run_cell(config, tlb, pattern, chunk_bytes, trace):
     measurement rows."""
     spec = WorkloadSpec(chunk_bytes, pattern, tlb.page_size)
     regions = make_regions(spec, config.base_va, config.base_ppn)
-    sim = Simulation(
-        regions,
-        ways=tlb.ways,
-        l2_entries=config.l2_entries,
-        replacement=config.replacement,
-        seed=config.seed,
-        l1_entries=config.l1_entries,
-        ptw_cache_entries=config.ptw_cache_entries,
-        latency=config.latency,
-        flush_ptw_between_phases=config.flush_ptw_between_phases,
-    )
-    stats = sim.run_trace(trace)
+    stats = Simulation(regions, config.hierarchy(tlb)).run_trace(trace)
     return [
         ResultRow(tlb.config_id, pattern, chunk_bytes, phase,
                   *astuple(stats.phase(phase)))

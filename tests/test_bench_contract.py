@@ -10,16 +10,17 @@ translation paths and reports a path its inputs did not take. Each workload
 file must still load to the configurations it was written for.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import pytest
 
-from napotsim import load_config
+from napotsim import Hierarchy, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,6 +70,16 @@ def test_setup_probe_builds_every_cell(tiny_ini):
     doc = _probe("setup", "--config", str(tiny_ini), "--seed", "0")
     assert doc["simulations"] == len(load_config(tiny_ini).cells())
     assert doc["setup_s"] > 0
+
+
+def test_setup_probe_passes_only_hierarchy_fields():
+    # a subset, so that a field Hierarchy gains need not reach the probe
+    tree = ast.parse((ROOT / "napotbench" / "inproc.py").read_text())
+    setup = next(n for n in ast.walk(tree) if getattr(n, "name", None) == "cmd_setup")
+    keywords = {keyword.arg for call in ast.walk(setup) if isinstance(call, ast.Call)
+                and ast.unparse(call.func).endswith("Simulation")
+                for keyword in call.keywords}
+    assert keywords and keywords <= {f.name for f in fields(Hierarchy)}, keywords
 
 
 def test_paths_probe_takes_every_path():

@@ -359,7 +359,7 @@ def test_stats_invariants_on_random_traces():
         ]
         stats = sim.run_trace(AccessTrace(warmup, measurement))
         for phase in (stats.warmup, stats.measurement):
-            phase.check(sim.latency)
+            phase.check(sim.hierarchy.latency)
             assert phase.total_cycles == expected_cycles(phase)
         assert sim.mem.reads == (
             stats.warmup.walk_memory_reads + stats.measurement.walk_memory_reads
@@ -453,7 +453,7 @@ def test_l2_flush_forces_walk_but_keeps_counters_consistent():
     assert out.path == WALK
     # the second walk rides the PTW cache: only the leaf read
     assert out.cycles_charged == 1 + 3 + 30
-    sim.stats.measurement.check(sim.latency)
+    sim.stats.measurement.check(sim.hierarchy.latency)
 
 
 def test_phase_check_names_the_broken_identity():

@@ -107,15 +107,15 @@ COUNTERS = (
 )
 
 
-def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
-                  latency, replacement, seed, flush_ptw):
+def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_cache_entries,
+                  latency, replacement, seed, flush_ptw_between_phases):
     """Translate every access of every phase; lists run oldest first.
 
     Returns the (pa, path, cycles) of each access, one counter dict per
     phase, and the final state: the L1 as (page, frame) pairs, the occupied
     L2 sets in L2Tlb.dump()'s form and the walk-cache keys. State carries
-    across phases, except the walk cache when flush_ptw is set; counters
-    do not.
+    across phases, except the walk cache when flush_ptw_between_phases is
+    set; counters do not.
     """
     sets = l2_entries // ways
     rng = random.Random(seed)
@@ -125,7 +125,7 @@ def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
     outcomes = []
     counters = []
     for addresses in phases:
-        if flush_ptw and counters:
+        if flush_ptw_between_phases and counters:
             ptw.clear()
         count = dict.fromkeys(COUNTERS, 0)
         for va in addresses:
@@ -169,7 +169,7 @@ def reference_run(regions, phases, l1_entries, l2_entries, ways, ptw_entries,
                         reads, fetched = 3, [(2, vpn >> 18), (1, vpn >> 9)]
                     for key in fetched:
                         ptw.append(key)
-                        if len(ptw) > ptw_entries:
+                        if len(ptw) > ptw_cache_entries:
                             ptw.pop(0)
                     count["walk_memory_reads"] += reads
                     cycles += reads * latency.mem_read_cycles
@@ -202,13 +202,13 @@ def draw_geometry(rng, ways, l2_sets, l1_sizes, ptw_sizes):
         l1_entries=rng.choice(l1_sizes),
         l2_entries=ways * rng.choice(l2_sets),
         ways=ways,
-        ptw_entries=rng.choice(ptw_sizes),
+        ptw_cache_entries=rng.choice(ptw_sizes),
         replacement=rng.choice(("lru", "random")),
         seed=rng.randrange(1 << 16),
         latency=LatencyModel(
             rng.randint(0, 3), rng.randint(0, 5), rng.randint(0, 40)
         ),
-        flush_ptw=rng.random() < 0.5,
+        flush_ptw_between_phases=rng.random() < 0.5,
     )
 
 
@@ -303,17 +303,7 @@ def random_case(rng, compact=False):
 
 def make_sim(regions, geometry):
     """A Simulation of the geometry whose memory counts its frame fetches."""
-    sim = Simulation(
-        regions,
-        ways=geometry["ways"],
-        l2_entries=geometry["l2_entries"],
-        l1_entries=geometry["l1_entries"],
-        ptw_cache_entries=geometry["ptw_entries"],
-        latency=geometry["latency"],
-        replacement=geometry["replacement"],
-        seed=geometry["seed"],
-        flush_ptw_between_phases=geometry["flush_ptw"],
-    )
+    sim = Simulation(regions, **geometry)
     sim.mem = CountingMem(sim.mem)
     return sim
 
@@ -371,7 +361,7 @@ def check_trials(seed, trials, compact):
             seen["random_evicted"] += (
                 geometry["replacement"] == "random"
                 and inserted > sum(map(len, state[1].values())))
-            if geometry["flush_ptw"]:
+            if geometry["flush_ptw_between_phases"]:
                 seen["flushed"] += bool(
                     reference_run(regions, phases[:1], **geometry)[2][2]
                 )
@@ -399,7 +389,7 @@ def check_trials(seed, trials, compact):
         raised = None
         for phase, addresses in zip(("warmup", "measurement"), phases):
             stepped.phase = phase
-            if phase == "measurement" and geometry["flush_ptw"]:
+            if phase == "measurement" and geometry["flush_ptw_between_phases"]:
                 stepped.ptw_cache.clear()  # translate() never flushes
             try:
                 for va in addresses:

@@ -8,14 +8,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import pytest
 
 import napotsim
 from napotsim import sweep
-from napotsim.engine import LatencyModel
+from napotsim.engine import PHASES, Hierarchy, LatencyModel, Simulation
 from napotsim.errors import ConfigError
 from napotsim.sv39 import PPN_MASK, PageSize
 from napotsim.sweep import (
@@ -31,7 +31,7 @@ from napotsim.sweep import (
     run_cell,
     run_sweep,
 )
-from napotsim.workloads import WorkloadSpec, gen_trace
+from napotsim.workloads import WorkloadSpec, gen_trace, make_regions
 
 KB4 = 4 << 10
 KB64 = 64 << 10
@@ -108,8 +108,10 @@ REJECTED = [
         base_ppn=PPN_MASK - 15,
     ), "config 1: frames 0xffffffffff0..0x10000000000f"),
     (dict(chunk_max_bytes=512 << 20), "chunk_max_bytes: "),
-    (dict(l2_entries=0), "l2_entries: "),
-    (dict(l2_entries=1000), "l2_entries: set count 1000"),
+    (dict(l2_entries=0),
+     "l2_entries with config 1's 4 ways: 0 entries do not divide into 4 ways"),
+    (dict(l2_entries=1000),
+     "l2_entries with config 1's 4 ways: set count 250 is not a power of two"),
     (dict(base_va=1 << 40), "base_va: va 0x10000000000 is not a canonical"),
     # the region fits, but its page tables would start past PPN_MASK
     (dict(
@@ -139,6 +141,28 @@ def test_4k_only_grid_needs_only_4k_alignment():
     assert rows[1].l1_hits == 200
     with pytest.raises(ConfigError, match="not aligned"):
         replace(config, configs=DEFAULT_CONFIGS).validate()
+
+
+def test_every_hierarchy_setting_reaches_the_cell():
+    settings = dict(l2_entries=64, replacement="random", seed=7, l1_entries=4,
+                    ptw_cache_entries=2, latency=LatencyModel(2, 5, 7),
+                    flush_ptw_between_phases=True)
+    tlb = TlbConfig(1, 16, PageSize.PAGE_4K, ("random",))
+    config = ExperimentConfig(configs=(tlb,), **settings).validate()
+    spec = WorkloadSpec(16 << 20, "random", seed=3, measured_accesses=3000)
+    trace = gen_trace(spec, config.base_va)
+    regions = make_regions(spec, config.base_va, config.base_ppn)
+    sim = Simulation(regions, Hierarchy(ways=16), **settings)
+    for f in fields(Hierarchy):
+        assert getattr(sim.hierarchy, f.name) != f.default, f.name
+    with pytest.raises(TypeError):
+        Simulation(regions, l3_entries=64)
+    stats = sim.run_trace(trace)
+    assert stats.measurement.walks > 0
+    rows = run_cell(config, tlb, "random", spec.chunk_bytes, trace)
+    assert [row[4:] for row in rows] == [astuple(stats.phase(p)) for p in PHASES]
+    for row in DEFAULT_CONFIGS:
+        assert ExperimentConfig().hierarchy(row) == Hierarchy(ways=row.ways)
 
 
 def test_cell_seed_depends_on_pattern_and_chunk_only():

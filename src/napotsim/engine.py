@@ -17,7 +17,7 @@ from itertools import cycle, islice
 from .errors import InvariantError, UnmappedAccessError
 from .pagetable import PTW_CACHE_ENTRIES, PtwCache, build_page_tables, walk
 from .sv39 import OFFSET_MASK, PAGE_SHIFT
-from .tlb import L1_ENTRIES, L2_ENTRIES, L1Dtlb, L2Tlb
+from .tlb import L1Dtlb, L2Tlb
 
 WARMUP = "warmup"
 MEASUREMENT = "measurement"
@@ -159,13 +159,14 @@ class TranslationOutcome:
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """The settings of one TLB hierarchy and its walker."""
+    """The settings of one TLB hierarchy and its walker, and the one place
+    their defaults are written: the TLBs take each setting from their caller."""
 
     ways: int = 4
-    l2_entries: int = L2_ENTRIES
+    l2_entries: int = 1024
     replacement: str = "lru"
     seed: int = 0
-    l1_entries: int = L1_ENTRIES
+    l1_entries: int = 32
     ptw_cache_entries: int = PTW_CACHE_ENTRIES
     latency: LatencyModel = LatencyModel()
     flush_ptw_between_phases: bool = False

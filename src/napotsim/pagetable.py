@@ -104,6 +104,7 @@ class PtwCache(LruCache):
     walk keys the pointer found at level L by (VPN >> 9*L) << 2 | L, so
     the VPN prefixes of the two levels never collide."""
 
+    # the one component default left: napotbench's paths probe calls PtwCache()
     def __init__(self, capacity=PTW_CACHE_ENTRIES):
         super().__init__(capacity)
 

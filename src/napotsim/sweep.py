@@ -114,7 +114,7 @@ class ExperimentConfig:
             ("measured_accesses", WorkloadSpec,
              (CHUNK_MIN_BYTES, PATTERNS[0], PageSize.PAGE_4K, 0,
               self.measured_accesses)),
-            ("replacement", L2Tlb, (1, 1, self.replacement)),
+            ("replacement", L2Tlb, (1, 1, self.replacement, self.seed)),
             ("base_va", check_canonical, (self.base_va,)),
             ("l1_entries", L1Dtlb, (self.l1_entries,)),
             ("ptw_cache_entries", PtwCache, (self.ptw_cache_entries,)),
@@ -140,7 +140,7 @@ class ExperimentConfig:
                 table_frames(make_regions(spec, self.base_va, self.base_ppn))
             h = self.hierarchy(cfg)
             with labelled(f"l2_entries with config {cfg.config_id}'s {h.ways} ways:"):
-                L2Tlb(h.l2_entries, h.ways)
+                L2Tlb(h.l2_entries, h.ways, h.replacement, h.seed)
         return self
 
     def hierarchy(self, tlb):

@@ -31,15 +31,13 @@ from .sv39 import (
     check_napot_shape,
 )
 
-L1_ENTRIES = 32
-L2_ENTRIES = 1024
 REPLACEMENT_POLICIES = ("lru", "random")
 # what L2Tlb.lookup reads from a set no insert has made; never written
 NO_ENTRIES = OrderedDict()
 
 
 class L2Tlb:
-    def __init__(self, entries=L2_ENTRIES, ways=4, replacement="lru", seed=0):
+    def __init__(self, entries, ways, replacement, seed):
         if ways < 1:
             raise ValueError(f"ways must be at least 1, not {ways}")
         if entries <= 0 or entries % ways:
@@ -160,6 +158,3 @@ class L1Dtlb(LruCache):
     """Small fully associative DTLB: exact 4KB pages only, true LRU.
 
     entries maps each page va >> 12 to its PPN; the engine probes it inline."""
-
-    def __init__(self, capacity=L1_ENTRIES):
-        super().__init__(capacity)

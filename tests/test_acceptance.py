@@ -44,6 +44,9 @@ Numbered checks:
 11. Linear closed form: every linear row, warm-up and measurement, equals
     the closed form of tests/linear_oracle.py, which shares no code with
     the simulator.
+12. L1 independence: at each (pattern, chunk, phase), random rows included,
+    every configuration has the same L1 hits and misses, since the L1 never
+    reads the state of the L2 or the walker below it.
 """
 
 import hashlib
@@ -240,8 +243,8 @@ def test_07_oracle_equivalence():
 def test_08_napot_differential():
     rng = random.Random(4096)
     problems = []
-    napot_tlb = L2Tlb(1024, 16)
-    discrete_tlb = L2Tlb(1024, 16)
+    napot_tlb = L2Tlb(1024, 16, "lru", 0)
+    discrete_tlb = L2Tlb(1024, 16, "lru", 0)
     for _ in range(1000):
         base_frame = rng.getrandbits(40) & ~0xF
         group_vpn = rng.getrandbits(27) & ~0xF
@@ -268,7 +271,7 @@ def test_09_flush_semantics():
     problems = []
     for _ in range(1000):
         ways = rng.choice((4, 16))
-        tlb = L2Tlb(1024, ways)
+        tlb = L2Tlb(1024, ways, "lru", 0)
         for _ in range(rng.randrange(1, 200)):
             vpn = rng.getrandbits(27)
             if rng.random() < 0.3:
@@ -328,3 +331,16 @@ def test_11_linear_closed_form(grid):
     if checked != 136:
         problems.append(f"{checked} linear rows, expected 136")
     report(11, "linear rows match the closed form", problems)
+
+
+def test_12_l1_independence(grid):
+    _, rows, _ = grid
+    groups = {}
+    for row in rows:
+        key = (row.pattern, row.chunk_bytes, row.phase)
+        groups.setdefault(key, set()).add((row.l1_hits, row.l1_misses))
+    problems = [f"{key}: {sorted(seen)}" for key, seen in groups.items()
+                if len(seen) > 1]
+    if len(groups) != 68:
+        problems.append(f"{len(groups)} groups, expected 68")
+    report(12, "L1 counts agree across configs", problems)

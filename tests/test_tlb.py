@@ -6,6 +6,7 @@ landed in from the L2's own dump(). NAPOT hit results are checked against
 the explicit 16-entry frame table an entry stands for.
 """
 
+import inspect
 import random
 import tracemalloc
 
@@ -22,7 +23,7 @@ def index_oracle(vpn, sets):
 
 def occupied_set(vpn, sets, pte):
     """The set index an empty 4-way L2 of `sets` sets files vpn's entry under."""
-    tlb = L2Tlb(sets * 4, 4)
+    tlb = L2Tlb(sets * 4, 4, "lru", 0)
     tlb.insert(vpn, pte)
     (index,) = tlb.dump()
     return index
@@ -55,28 +56,28 @@ def test_l2_index_group_invariance():
 
 
 def test_l2_geometry_validation():
-    L2Tlb(1024, 4)
-    L2Tlb(1024, 16)
+    L2Tlb(1024, 4, "lru", 0)
+    L2Tlb(1024, 16, "lru", 0)
     with pytest.raises(ValueError):
-        L2Tlb(1024, 3)
+        L2Tlb(1024, 3, "lru", 0)
     with pytest.raises(ValueError, match="ways must be at least 1"):
-        L2Tlb(1024, 0)
+        L2Tlb(1024, 0, "lru", 0)
     with pytest.raises(ValueError):
-        L2Tlb(0, 4)
+        L2Tlb(0, 4, "lru", 0)
     with pytest.raises(ValueError):
-        L2Tlb(96, 2)  # 48 sets, not a power of two
+        L2Tlb(96, 2, "lru", 0)  # 48 sets, not a power of two
     with pytest.raises(ValueError):
-        L2Tlb(1024, 4, replacement="fifo")
+        L2Tlb(1024, 4, "fifo", 0)
 
 
 def test_l2_miss_on_empty():
-    tlb = L2Tlb()
+    tlb = L2Tlb(1024, 4, "lru", 0)
     assert tlb.lookup(0x1234) is None
     assert [tlb.lookup(vpn) for vpn in range(0, 4096, 5)] == [None] * 820
     tlb.flush(0x5678 << 12)
     assert len(tlb) == 0
     assert tlb.dump() == {}
-    tlb = L2Tlb()
+    tlb = L2Tlb(1024, 4, "lru", 0)
     tlb.insert(0x20, leaf(0x100))  # set 2
     assert tlb.lookup(0x30) is None  # set 3
     tlb.insert(0x10, leaf(0x200))  # set 1, touched last but listed first
@@ -86,7 +87,7 @@ def test_l2_miss_on_empty():
 
 
 def test_l2_4k_entry_exact_match():
-    tlb = L2Tlb()
+    tlb = L2Tlb(1024, 4, "lru", 0)
     assert tlb.insert(0x1230, leaf(0x200)) == 0x200
     assert tlb.lookup(0x1230) == 0x200
     # same group, different page: a 4KB entry does not cover neighbors
@@ -95,7 +96,7 @@ def test_l2_4k_entry_exact_match():
 
 
 def test_l2_napot_entry_covers_group():
-    tlb = L2Tlb()
+    tlb = L2Tlb(1024, 4, "lru", 0)
     # insert hands back the translation of the VPN it was given
     assert tlb.insert(0x1235, napot_leaf(0x80010)) == 0x80015
     frames = {k: 0x80010 + k for k in range(16)}
@@ -106,7 +107,7 @@ def test_l2_napot_entry_covers_group():
 
 
 def test_l2_4k_entry_wins_before_napot_probe():
-    tlb = L2Tlb()
+    tlb = L2Tlb(1024, 4, "lru", 0)
     tlb.insert(0x1230, napot_leaf(0x80010))
     tlb.insert(0x1231, leaf(0x999))
     assert tlb.lookup(0x1231) == 0x999
@@ -114,7 +115,7 @@ def test_l2_4k_entry_wins_before_napot_probe():
 
 
 def test_l2_insert_rejects_bad_entries():
-    tlb = L2Tlb()
+    tlb = L2Tlb(1024, 4, "lru", 0)
     with pytest.raises(MalformedNapotError):
         tlb.insert(0x1230, leaf(0x80011, napot=True))
     with pytest.raises(ValueError):
@@ -122,7 +123,7 @@ def test_l2_insert_rejects_bad_entries():
 
 
 def test_l2_lru_eviction_within_set():
-    tlb = L2Tlb(1024, 4)  # 256 sets
+    tlb = L2Tlb(1024, 4, "lru", 0)  # 256 sets
     # five 4KB pages in five different groups, all landing in set 0
     vpns = [k * 16 * 256 for k in range(5)]
     for vpn in vpns:
@@ -134,7 +135,7 @@ def test_l2_lru_eviction_within_set():
 
 
 def test_l2_lookup_refreshes_lru():
-    tlb = L2Tlb(1024, 4)
+    tlb = L2Tlb(1024, 4, "lru", 0)
     vpns = [k * 16 * 256 for k in range(4)]
     for vpn in vpns:
         tlb.insert(vpn, leaf(0x100 + vpn))
@@ -145,7 +146,7 @@ def test_l2_lookup_refreshes_lru():
 
 
 def test_l2_reinsert_refreshes_in_place():
-    tlb = L2Tlb(1024, 4)
+    tlb = L2Tlb(1024, 4, "lru", 0)
     vpns = [k * 16 * 256 for k in range(4)]
     for vpn in vpns:
         tlb.insert(vpn, leaf(0x100 + vpn))
@@ -157,7 +158,7 @@ def test_l2_reinsert_refreshes_in_place():
 
 
 def test_l2_mixed_sizes_share_a_set():
-    tlb = L2Tlb(1024, 4)
+    tlb = L2Tlb(1024, 4, "lru", 0)
     # one NAPOT group plus three 4KB pages from other groups, same set
     tlb.insert(0, napot_leaf(0x80010))
     for k in range(1, 4):
@@ -170,7 +171,7 @@ def test_l2_mixed_sizes_share_a_set():
 
 
 def test_l2_flush_clears_whole_set():
-    tlb = L2Tlb(1024, 4)
+    tlb = L2Tlb(1024, 4, "lru", 0)
     tlb.insert(0x0, leaf(0x100))
     tlb.insert(16 * 256, leaf(0x200))  # same set, next index wrap
     tlb.insert(16, leaf(0x300))  # set 1
@@ -181,7 +182,7 @@ def test_l2_flush_clears_whole_set():
 
 
 def test_l2_flush_uses_va_not_vpn():
-    tlb = L2Tlb(1024, 4)
+    tlb = L2Tlb(1024, 4, "lru", 0)
     tlb.insert(0x10, leaf(0x100))  # vpn 16 -> set 1
     tlb.flush(0x10 << 12)
     assert tlb.lookup(0x10) is None
@@ -190,7 +191,7 @@ def test_l2_flush_uses_va_not_vpn():
 def test_l2_flush_all():
     # four groups per set, one per way, fill all 256 sets of a 4-way L2
     vpns = [(way * 256 + index) * 16 for way in range(4) for index in range(256)]
-    tlb = L2Tlb(1024, 4)
+    tlb = L2Tlb(1024, 4, "lru", 0)
     for k, vpn in enumerate(vpns):
         tlb.insert(vpn, leaf(0x100 + k))
     full = tlb.dump()
@@ -209,7 +210,7 @@ def test_l2_allocates_no_set_before_its_first_touch():
     # 65,536 sets, about 9 MB if each were built up front
     tracemalloc.start()
     try:
-        L2Tlb(1 << 20, 16)
+        L2Tlb(1 << 20, 16, "lru", 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -218,7 +219,7 @@ def test_l2_allocates_no_set_before_its_first_touch():
 
 def test_l2_lookup_misses_make_no_set():
     # one miss in each of 65,536 sets; a set made per miss holds about 12 MB
-    tlb = L2Tlb(1 << 20, 16)
+    tlb = L2Tlb(1 << 20, 16, "lru", 0)
     tracemalloc.start()
     try:
         assert all(tlb.lookup(vpn) is None for vpn in range(0, 1 << 20, 16))
@@ -232,7 +233,7 @@ def test_l2_lookup_misses_make_no_set():
 def test_l2_sixteen_way_reach_with_4k_pages():
     # 1024 consecutive pages fill a 16-way L2 exactly: 64 groups over
     # 64 sets leaves 16 pages per set, one per way
-    tlb = L2Tlb(1024, 16)
+    tlb = L2Tlb(1024, 16, "lru", 0)
     for vpn in range(1024):
         tlb.insert(vpn, leaf(0x1000 + vpn))
     assert len(tlb) == 1024
@@ -242,7 +243,7 @@ def test_l2_sixteen_way_reach_with_4k_pages():
 
 def test_l2_sixteen_way_reach_with_napot_pages():
     # 1024 NAPOT groups likewise fill it: 16MB of reach
-    tlb = L2Tlb(1024, 16)
+    tlb = L2Tlb(1024, 16, "lru", 0)
     for group in range(1024):
         tlb.insert(group * 16, napot_leaf(0x10000 + group * 16))
     assert len(tlb) == 1024
@@ -254,7 +255,7 @@ def test_l2_sixteen_way_reach_with_napot_pages():
 def test_l2_four_way_conflict_ceiling():
     # 4-way, 4KB pages: pages 16 groups apart collide; the 17th page of a
     # linear run at stride 16*sets always misses after eviction
-    tlb = L2Tlb(1024, 4)
+    tlb = L2Tlb(1024, 4, "lru", 0)
     stride = 16 * 256
     for vpn in range(0, 8 * stride, stride):
         tlb.insert(vpn, leaf(vpn))
@@ -265,7 +266,7 @@ def test_l2_four_way_conflict_ceiling():
 def test_l2_random_replacement_is_seeded():
     ops = [(k * 16 * 256, 0x100 + k) for k in range(32)]
     def run(seed):
-        tlb = L2Tlb(1024, 4, replacement="random", seed=seed)
+        tlb = L2Tlb(1024, 4, "random", seed)
         for vpn, ppn in ops:
             tlb.insert(vpn, leaf(ppn))
         return tlb.dump()
@@ -273,8 +274,15 @@ def test_l2_random_replacement_is_seeded():
     assert run(1) != run(2)  # different victims somewhere in 28 evictions
 
 
+def test_tlbs_take_every_setting_from_their_caller():
+    # the defaults are written once, in engine.Hierarchy
+    for cls in (L2Tlb, L1Dtlb):
+        params = inspect.signature(cls).parameters.values()
+        assert all(p.default is p.empty for p in params), cls
+
+
 def test_l1_hit_and_miss():
-    tlb = L1Dtlb()
+    tlb = L1Dtlb(32)
     assert 5 not in tlb.entries
     tlb.insert(5, 0x50)
     assert tlb.entries[5] == 0x50
@@ -296,7 +304,7 @@ def test_l1_lru_eviction():
 
 
 def test_l1_flush_all():
-    tlb = L1Dtlb()
+    tlb = L1Dtlb(32)
     tlb.insert(1, 1)
     tlb.clear()
     assert 1 not in tlb.entries
